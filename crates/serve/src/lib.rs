@@ -118,6 +118,10 @@ pub enum ServeError {
     /// shed watermark or the connection exceeded its inflight cap. Always
     /// retryable — back off and resubmit.
     Overloaded,
+    /// The image cannot be labeled: it holds a NaN or infinite pixel. One
+    /// such pixel would otherwise turn into a confident wrong answer, or a
+    /// poisoned training row. Never retryable.
+    InvalidImage(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -132,6 +136,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Deadline => write!(f, "request deadline expired before labeling"),
             ServeError::Wire(msg) => write!(f, "wire protocol error: {msg}"),
             ServeError::Overloaded => write!(f, "server overloaded; request shed, retry later"),
+            ServeError::InvalidImage(msg) => write!(f, "invalid image: {msg}"),
         }
     }
 }
@@ -151,6 +156,20 @@ impl ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Reject an image with a NaN or infinite pixel as
+/// [`ServeError::InvalidImage`]. Every door an image takes into a model
+/// checks it: the wire decoders, [`LabelService::submit`] and the trainer's
+/// intake.
+pub fn check_finite_pixels(image: &goggles_vision::Image) -> Result<()> {
+    match image.tensor().as_slice().iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(ServeError::InvalidImage(format!(
+            "pixel {i} of a {:?} image is not finite",
+            image.shape()
+        ))),
+    }
+}
 
 impl From<goggles_core::GogglesError> for ServeError {
     fn from(e: goggles_core::GogglesError) -> Self {

@@ -417,7 +417,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
                             Err(e) => error_reply(id, &e),
                         }
                     }
-                    Err(e) => error_reply(id, &e),
+                    Err(e) => {
+                        if matches!(e, ServeError::InvalidImage(_)) {
+                            service.record_invalid();
+                        }
+                        error_reply(id, &e)
+                    }
                 };
                 if jobs.send(job).is_err() {
                     break;

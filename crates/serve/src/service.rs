@@ -59,11 +59,9 @@ pub struct ServeConfig {
     /// Bound on queued (not yet running) requests; producers block when the
     /// queue is full (backpressure, not unbounded memory).
     pub queue_capacity: usize,
-    /// Thread fan-out *inside* one batch's embedding/affinity computation —
-    /// the per-request parallelism budget. For batches smaller than this
-    /// (the online case: one worker holding one image), the affinity row is
-    /// sharded across the budget along the prototype-bank `n·z` axis, so a
-    /// single request still saturates its share of the machine. Results are
+    /// Thread fan-out *inside* one batch's embedding/affinity computation:
+    /// a batch's images are spread over up to this many threads, and a
+    /// single-image request runs on the worker's own thread. Results are
     /// bit-identical for every value. The default is the cores left per
     /// worker (`⌈available_parallelism / workers⌉`, at least 1) **for the
     /// default two-worker pool** — when overriding `workers`, use
@@ -395,6 +393,7 @@ pub(crate) struct ServeMetrics {
     requests_deadline: goggles_obs::Counter,
     requests_cancelled: goggles_obs::Counter,
     requests_shed: goggles_obs::Counter,
+    requests_invalid: goggles_obs::Counter,
     worker_restarts: goggles_obs::Counter,
     batches_total: goggles_obs::Counter,
     batches_failed: goggles_obs::Counter,
@@ -428,6 +427,7 @@ impl ServeMetrics {
             requests_deadline: result("deadline"),
             requests_cancelled: result("cancelled"),
             requests_shed: result("shed"),
+            requests_invalid: result("invalid"),
             worker_restarts: registry.counter(
                 "goggles_worker_restarts_total",
                 "Service workers respawned by the watchdog after a panic",
@@ -599,7 +599,9 @@ impl LabelService {
     /// converted without copying pixels) and the hot path is copy-free.
     /// Applies backpressure: blocks while the queue is at capacity, or —
     /// with [`ServeConfig::shed_watermark`] set — sheds immediately with
-    /// [`ServeError::Overloaded`] once the queue reaches the watermark.
+    /// [`ServeError::Overloaded`] once the queue reaches the watermark. An
+    /// image with a NaN or infinite pixel is refused up front with
+    /// [`ServeError::InvalidImage`].
     pub fn submit(&self, image: impl Into<Arc<Image>>) -> ServeResult<Ticket> {
         self.submit_with_deadline(image, None)
     }
@@ -615,6 +617,10 @@ impl LabelService {
         deadline: Option<Instant>,
     ) -> ServeResult<Ticket> {
         let image = image.into();
+        if let Err(e) = crate::check_finite_pixels(&image) {
+            self.record_invalid();
+            return Err(e);
+        }
         if deadline.is_some_and(|d| Instant::now() >= d) {
             self.shared.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.requests_deadline.inc();
@@ -743,6 +749,13 @@ impl LabelService {
     pub(crate) fn record_shed(&self) {
         self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.requests_shed.inc();
+    }
+
+    /// Record one request refused as [`ServeError::InvalidImage`] — by
+    /// `submit` or, before it, by the wire decoder — under the
+    /// `result="invalid"` metric.
+    pub(crate) fn record_invalid(&self) {
+        self.shared.metrics.requests_invalid.inc();
     }
 
     /// The registry behind the service: publish/rollback/inspect versions
@@ -1145,18 +1158,6 @@ mod tests {
         let wide = ServeConfig::with_workers(cores);
         assert_eq!(wide.workers, cores);
         assert_eq!(wide.embed_threads, 1);
-    }
-
-    #[test]
-    fn sharded_single_request_matches_serial_labeler() {
-        // label_one (1 thread) and label_one_sharded (many threads) must be
-        // bit-identical — the service's embed budget can never change answers.
-        let (labeler, ds) = fitted(16);
-        let img = ds.test_images()[0];
-        let serial = labeler.label_one(img);
-        for threads in [2, 4, 8] {
-            assert_eq!(serial, labeler.label_one_sharded(img, threads), "threads = {threads}");
-        }
     }
 
     #[test]

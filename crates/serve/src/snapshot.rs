@@ -395,21 +395,10 @@ impl FittedLabeler {
         self.net.forward_flops_per_image()
     }
 
-    /// Label a single image; returns the argmax class and the full
-    /// class-probability row. Single-threaded — see
-    /// [`FittedLabeler::label_one_sharded`] for the intra-request parallel
-    /// variant.
+    /// Label a single image on the calling thread; returns the argmax class
+    /// and the full class-probability row.
     pub fn label_one(&self, image: &Image) -> (usize, Vec<f64>) {
-        self.label_one_sharded(image, 1)
-    }
-
-    /// Label a single image with an intra-request thread budget: the
-    /// `1 × αN` affinity row against the stored bank is sharded across
-    /// `threads` workers along the stacked `n·z` prototype axis, so one
-    /// online request can saturate the machine instead of one core. Output
-    /// is bit-identical for every thread count.
-    pub fn label_one_sharded(&self, image: &Image, threads: usize) -> (usize, Vec<f64>) {
-        let labels = self.label_batch(&[image], threads);
+        let labels = self.label_batch(&[image], 1);
         let row = labels.probs.row(0).to_vec();
         (goggles_tensor::argmax(&row), row)
     }

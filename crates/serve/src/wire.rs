@@ -330,13 +330,21 @@ pub fn encode_label_request(image: &Image, deadline_us: u64) -> Vec<u8> {
     wr.into_bytes()
 }
 
-/// Decode an [`Opcode::LabelRequest`] payload. Dimensions are bounded
-/// (`MAX_IMAGE_CHANNELS`, `MAX_IMAGE_DIM`) and the pixel count must
-/// exactly match the remaining payload, so a corrupt frame can neither
-/// over-allocate nor smuggle in trailing garbage.
+/// Decode an [`Opcode::LabelRequest`] payload: the deadline budget, then
+/// the image. A malformed image is a [`ServeError::Wire`] error, one with a
+/// NaN or infinite pixel [`ServeError::InvalidImage`].
 pub fn decode_label_request(payload: &[u8]) -> ServeResult<LabelRequest> {
     let mut r = Reader::new(payload);
     let deadline_us = r.get_u64().map_err(wire_err)?;
+    Ok(LabelRequest { image: decode_image(r)?, deadline_us })
+}
+
+/// Decode the image that ends a label or ingest payload. Dimensions are
+/// bounded (`MAX_IMAGE_CHANNELS`, `MAX_IMAGE_DIM`) and the pixel count must
+/// exactly match the remaining payload, so a corrupt frame can neither
+/// over-allocate nor smuggle in trailing garbage. A well-formed image with
+/// a NaN or infinite pixel is [`ServeError::InvalidImage`].
+fn decode_image(mut r: Reader<'_>) -> ServeResult<Image> {
     let c = r.get_len_u32(MAX_IMAGE_CHANNELS).map_err(wire_err)?;
     let h = r.get_len_u32(MAX_IMAGE_DIM).map_err(wire_err)?;
     let w = r.get_len_u32(MAX_IMAGE_DIM).map_err(wire_err)?;
@@ -357,7 +365,9 @@ pub fn decode_label_request(payload: &[u8]) -> ServeResult<LabelRequest> {
     let data = r.get_f32_vec(pixels).map_err(wire_err)?;
     let tensor = Tensor3::from_vec(c, h, w, data)
         .map_err(|e| ServeError::Wire(format!("image decode: {e}")))?;
-    Ok(LabelRequest { image: Image::from_tensor(tensor), deadline_us })
+    let image = Image::from_tensor(tensor);
+    crate::check_finite_pixels(&image)?;
+    Ok(image)
 }
 
 /// Encode a [`LabelResponse`] for [`Opcode::LabelReply`]. Probabilities are
@@ -404,6 +414,7 @@ fn error_code(e: &ServeError) -> u8 {
         ServeError::Deadline => 7,
         ServeError::Wire(_) => 8,
         ServeError::Overloaded => 9,
+        ServeError::InvalidImage(_) => 10,
     }
 }
 
@@ -444,6 +455,7 @@ pub fn decode_error_reply(payload: &[u8]) -> ServeResult<ServeError> {
         7 => ServeError::Deadline,
         8 => ServeError::Wire(msg),
         9 => ServeError::Overloaded,
+        10 => ServeError::InvalidImage(msg),
         c => return Err(ServeError::Wire(format!("unknown error code {c}"))),
     };
     if (flag == 1) != decoded.retryable() {
@@ -590,32 +602,10 @@ pub fn encode_ingest_request(image: &Image) -> Vec<u8> {
     wr.into_bytes()
 }
 
-/// Decode an [`Opcode::Ingest`] payload. Bounds mirror
-/// [`decode_label_request`]: dimensions are capped and the pixel count must
-/// exactly match the remaining bytes.
+/// Decode an [`Opcode::Ingest`] payload: the image alone, checked as by
+/// [`decode_label_request`].
 pub fn decode_ingest_request(payload: &[u8]) -> ServeResult<Image> {
-    let mut r = Reader::new(payload);
-    let c = r.get_len_u32(MAX_IMAGE_CHANNELS).map_err(wire_err)?;
-    let h = r.get_len_u32(MAX_IMAGE_DIM).map_err(wire_err)?;
-    let w = r.get_len_u32(MAX_IMAGE_DIM).map_err(wire_err)?;
-    if c == 0 || h == 0 || w == 0 {
-        return Err(ServeError::Wire(format!("image with zero dimension ({c}×{h}×{w})")));
-    }
-    let pixels = c
-        .checked_mul(h)
-        .and_then(|p| p.checked_mul(w))
-        .ok_or_else(|| ServeError::Wire(format!("image shape {c}×{h}×{w} overflows")))?;
-    if r.remaining() != pixels * 4 {
-        return Err(ServeError::Wire(format!(
-            "image payload is {} bytes, shape {c}×{h}×{w} needs {}",
-            r.remaining(),
-            pixels * 4
-        )));
-    }
-    let data = r.get_f32_vec(pixels).map_err(wire_err)?;
-    let tensor = Tensor3::from_vec(c, h, w, data)
-        .map_err(|e| ServeError::Wire(format!("image decode: {e}")))?;
-    Ok(Image::from_tensor(tensor))
+    decode_image(Reader::new(payload))
 }
 
 /// Encode the running intake count for [`Opcode::IngestReply`].

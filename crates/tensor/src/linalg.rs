@@ -2,7 +2,8 @@
 //!
 //! * the fused matmul + column-max kernel behind every affinity function
 //!   (Equation 2 reduces `f_L^z` to a patch×prototype product followed by a
-//!   max over patches — [`colmax_matmul_f32`] is the serving hot path),
+//!   max over patches — [`colmax_matmul_panel_f32`] is the serving hot
+//!   path),
 //! * cyclic Jacobi symmetric eigendecomposition (exact, for moderate sizes),
 //! * Cholesky factorization + triangular solves + log-determinant
 //!   (full-covariance GMM baseline),
@@ -40,15 +41,25 @@ pub fn gemm_flop_count() -> u64 {
     GEMM_FLOPS.load(Ordering::Relaxed)
 }
 
-/// Prototype rows held as running maxima per register tile of
-/// [`colmax_matmul_f32`].
+/// Prototype rows held as running maxima per register tile of the wide
+/// colmax path.
 const COLMAX_TILE: usize = 8;
 
-/// Independent accumulator lanes of the unrolled dot product inside
-/// [`colmax_matmul_f32`]. Eight f32 lanes map onto one AVX register (or two
+/// Independent accumulator lanes of the unrolled dot product inside the
+/// wide colmax path. Eight f32 lanes map onto one AVX register (or two
 /// NEON registers); the per-lane sums are combined in a fixed tree so the
 /// result is deterministic.
 const DOT_LANES: usize = 8;
+
+/// Patches per register tile of the tall colmax path.
+const TALL_MR: usize = 4;
+
+/// Prototype columns per register tile of the tall colmax path: one
+/// 256-bit register of f32 under AVX2, two 128-bit ones on the SSE2
+/// baseline. `TALL_MR × TALL_NR` accumulators plus one prototype row and
+/// one broadcast weight fit the 16 vector registers of either ISA; wider
+/// tiles spill.
+const TALL_NR: usize = 8;
 
 /// Multi-lane dot product: `DOT_LANES` independent partial sums over the
 /// bulk (which the compiler vectorizes — no float reassociation is needed
@@ -71,16 +82,16 @@ fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
-/// Reusable workspace of [`colmax_matmul_scratch_f32`]: the transposed
-/// patch panel and the per-patch accumulator column. Keep one per thread
-/// and it grows once to the largest layer geometry, after which the kernel
-/// never allocates.
+/// Reusable workspace of [`colmax_matmul_panel_f32`]: the patch panel
+/// re-packed tile-major for the tall path. Keep one per thread and it grows
+/// once to the largest layer geometry, after which the kernel never
+/// allocates.
 #[derive(Debug, Default, Clone)]
 pub struct ColmaxScratch {
-    /// `cols × m` transposed copy of the `a` panel (patch axis contiguous).
-    a_t: Vec<f32>,
-    /// One running dot product per patch row.
-    acc: Vec<f32>,
+    /// `ceil(m / TALL_MR) · TALL_MR × cols` copy of the patch panel: tile
+    /// `t` holds patches `[t·MR, (t+1)·MR)` interleaved as `[c][mr]`, the
+    /// rows past `m` repeating patch `m − 1`.
+    a_pack: Vec<f32>,
 }
 
 /// Fused `A·Bᵀ` + column max over the rows of `A`:
@@ -89,46 +100,14 @@ pub struct ColmaxScratch {
 /// table (stacked prototypes). When `m == 0` every output is
 /// `f32::NEG_INFINITY` (the max of an empty set).
 ///
-/// This is the affinity hot path (Equation 2 of the paper vectorized over
-/// all prototypes at once). Two blocked code paths, picked by panel shape:
-///
-/// * **Tall panels** (`m ≥ 2·cols`, the shallow backbone layers: thousands
-///   of patches, few channels): the panel is transposed once into
-///   `scratch.a_t` so the kernel vectorizes along the *patch* axis — for
-///   each prototype row, every channel weight is broadcast against a
-///   contiguous patch column, accumulating all `m` dot products at once
-///   (`c` ascending, so each per-patch sum has exactly the naive order and
-///   the result is bit-identical to the scalar reference). The final max
-///   over patches runs on `DOT_LANES` lanes.
-/// * **Wide panels** (the deep layers: few patches, hundreds of channels):
-///   `b`'s rows are register-tiled — `COLMAX_TILE` running maxima in a
-///   stack array — while the patch panel streams through the tile, each
-///   dot product running on `DOT_LANES` independent accumulator lanes
-///   (see `dot_lanes`).
-///
-/// Deterministic and shard-stable: `out[j]` depends only on row `j` of `b`
-/// and on `a` (never on tile alignment), so computing a sub-range of `b`'s
-/// rows into a sub-slice of `out` is bit-identical to slicing the full
-/// result — which is what lets callers shard the prototype axis across
-/// threads.
+/// A one-off call: it builds a [`ColmaxPanel`] and runs
+/// [`colmax_matmul_panel_f32`]. Callers that query one table repeatedly
+/// should build the panel once.
 ///
 /// # Panics
 /// Panics if `cols == 0`, `a.len()` is not a multiple of `cols`, or
 /// `b.len() != out.len() * cols`.
-pub fn colmax_matmul_scratch_f32(
-    scratch: &mut ColmaxScratch,
-    a: &[f32],
-    b: &[f32],
-    cols: usize,
-    out: &mut [f32],
-) {
-    assert!(cols > 0, "colmax_matmul_f32: cols must be ≥ 1");
-    assert_eq!(
-        a.len() % cols,
-        0,
-        "colmax_matmul_f32: a.len() {} not a multiple of cols {cols}",
-        a.len()
-    );
+pub fn colmax_matmul_f32(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
     assert_eq!(
         b.len(),
         out.len() * cols,
@@ -136,37 +115,24 @@ pub fn colmax_matmul_scratch_f32(
         b.len(),
         out.len()
     );
-    out.fill(f32::NEG_INFINITY);
-    if a.is_empty() {
-        return;
-    }
-    let m = a.len() / cols;
-    if m >= 2 * cols {
-        colmax_tall(scratch, a, m, b, cols, out);
-    } else {
-        colmax_wide(a, b, cols, out);
-    }
-}
-
-/// [`colmax_matmul_scratch_f32`] with a throwaway scratch — convenient for
-/// tests and one-off calls; hot paths should hold a [`ColmaxScratch`].
-pub fn colmax_matmul_f32(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
-    colmax_matmul_scratch_f32(&mut ColmaxScratch::default(), a, b, cols, out);
+    let panel = ColmaxPanel::new(b, cols);
+    colmax_matmul_panel_f32(&mut ColmaxScratch::default(), a, b, &panel, 0, out);
 }
 
 /// A prototype table transposed once and cached **across requests**: the
-/// column-major (`cols × rows`) copy of a row-major `rows × cols` table.
+/// column-major (`cols × stride`) copy of a row-major `rows × cols` table.
 ///
-/// [`colmax_matmul_scratch_f32`]'s tall path pays a transpose of the *patch
-/// panel* on every call even though the other operand — the stacked
-/// prototype table of a frozen bank — never changes between requests. A
-/// `ColmaxPanel` moves that restructuring to construction time:
-/// [`colmax_matmul_panel_f32`] streams each patch row against contiguous
-/// prototype columns of the cached transpose, so the per-request hot path
-/// neither transposes nor allocates.
+/// The prototype table of a frozen bank never changes between requests, so
+/// the layout the tall kernel wants is built at construction:
+/// [`colmax_matmul_panel_f32`] reads `TALL_NR` adjacent prototypes of one
+/// channel as one contiguous vector, and the per-request hot path neither
+/// transposes nor allocates. Each channel row carries `TALL_NR − 1` zero
+/// columns past `rows`, so a register tile starting at any prototype reads
+/// inside the table; the kernel discards their results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColmaxPanel {
-    /// `cols × rows` transpose: `b_t[c · rows + j] = b[j · cols + c]`.
+    /// `cols × stride` transpose: `b_t[c · stride + j] = b[j · cols + c]`,
+    /// zero for `j ≥ rows`.
     b_t: Vec<f32>,
     rows: usize,
     cols: usize,
@@ -182,10 +148,11 @@ impl ColmaxPanel {
         assert!(cols > 0, "ColmaxPanel::new: cols must be ≥ 1");
         assert_eq!(b.len() % cols, 0, "ColmaxPanel::new: b.len() not a multiple of cols");
         let rows = b.len() / cols;
-        let mut b_t = vec![0.0f32; b.len()];
+        let stride = rows + TALL_NR - 1;
+        let mut b_t = vec![0.0f32; cols * stride];
         for (j, b_row) in b.chunks_exact(cols).enumerate() {
             for (c, &v) in b_row.iter().enumerate() {
-                b_t[c * rows + j] = v;
+                b_t[c * stride + j] = v;
             }
         }
         Self { b_t, rows, cols }
@@ -200,23 +167,46 @@ impl ColmaxPanel {
     pub fn cols(&self) -> usize {
         self.cols
     }
+
+    /// Distance between consecutive channels in `b_t`.
+    fn stride(&self) -> usize {
+        self.rows + TALL_NR - 1
+    }
 }
 
-/// [`colmax_matmul_scratch_f32`] over rows `[lo, lo + out.len())` of a
+/// Fused matmul + column max over rows `[lo, lo + out.len())` of a
 /// prototype table whose transpose is cached in `panel`:
-/// `out[jj] = max_i Σ_c a[i·cols + c] · b[(lo + jj)·cols + c]`.
+/// `out[jj] = max_i Σ_c a[i·cols + c] · b[(lo + jj)·cols + c]` — Equation 2
+/// of the paper vectorized over all prototypes at once, the affinity hot
+/// path. `b` is the same row-major table the panel was built from. When
+/// `m == 0` every output is `f32::NEG_INFINITY` (the max of an empty set).
 ///
-/// `b` is the same row-major table the panel was built from (the wide path
-/// streams it directly; the tall path reads only the cached transpose).
-/// Path selection (`m ≥ 2·cols`) and per-dot accumulation order match
-/// [`colmax_matmul_scratch_f32`] exactly, and the max over patches is
-/// order-exact — the output is **bit-identical** to the uncached kernel on
-/// the matching row range, for any `lo` shard, which preserves the
-/// shard-stability contract callers rely on.
+/// Two code paths, picked by panel shape:
+///
+/// * **Tall panels** (`m ≥ 2·cols`, the shallow backbone layers: hundreds
+///   of patches, few channels): a register-tiled micro-kernel. A
+///   `TALL_MR × TALL_NR` (patch × prototype) accumulator tile stays in
+///   registers across the channel loop, and its maxima fold straight into
+///   `TALL_NR` running maxima that stay in registers across all patches.
+///   Each sum runs `c` ascending from the first product (not from `0.0`),
+///   and patches are visited in ascending order. On x86-64 CPUs with AVX2
+///   the same code runs in an AVX2-compiled copy, picked at run time; it
+///   contracts no multiply-add, so its output is bit-identical to the
+///   portable copy's.
+/// * **Wide panels** (the deep layers: few patches, hundreds of channels):
+///   `b`'s rows are register-tiled — `COLMAX_TILE` running maxima in a
+///   stack array — while the patch panel streams through the tile, each
+///   dot product running on `DOT_LANES` independent accumulator lanes
+///   (see `dot_lanes`). This path stays portable: AVX2 made it slower.
+///
+/// Deterministic and shard-stable: `out[jj]` depends only on prototype
+/// `lo + jj` and on `a` (never on tile alignment), so computing a sub-range
+/// of rows is bit-identical to slicing the full result.
 ///
 /// # Panics
-/// Panics if `b` disagrees with the panel geometry or the requested row
-/// range `[lo, lo + out.len())` exceeds the table.
+/// Panics if `b` disagrees with the panel geometry, `a.len()` is not a
+/// multiple of the panel's `cols`, or the requested row range
+/// `[lo, lo + out.len())` exceeds the table.
 pub fn colmax_matmul_panel_f32(
     scratch: &mut ColmaxScratch,
     a: &[f32],
@@ -249,88 +239,100 @@ pub fn colmax_matmul_panel_f32(
     if a.is_empty() || out.is_empty() {
         return;
     }
-    let m = a.len() / cols;
-    if m >= 2 * cols {
-        colmax_panel_tall(scratch, a, panel, lo, out);
+    if a.len() / cols >= 2 * cols {
+        colmax_tall(pack_patches(&mut scratch.a_pack, a, cols), panel, lo, out);
     } else {
         colmax_wide(a, &b[lo * cols..(lo + out.len()) * cols], cols, out);
     }
 }
 
-/// Tall-panel path over a cached transpose: patches stream in the outer
-/// loop, and every patch's dot products against the whole shard accumulate
-/// along contiguous prototype columns of `panel.b_t` (channel `c`
-/// ascending, so each per-pair sum has exactly the order of
-/// [`colmax_tall`] and the naive reference). The running max over patches
-/// is order-independent, so the shard result is bit-identical to the
-/// uncached tall path — with no per-request transpose and no per-request
-/// allocation once `scratch` has grown.
-fn colmax_panel_tall(
-    scratch: &mut ColmaxScratch,
-    a: &[f32],
-    panel: &ColmaxPanel,
-    lo: usize,
-    out: &mut [f32],
-) {
-    let cols = panel.cols;
-    let stride = panel.rows;
-    let nz = out.len();
-    if scratch.acc.len() < nz {
-        scratch.acc.resize(nz, 0.0);
+/// Re-pack the non-empty `m × cols` patch panel `a` tile-major into `pack`
+/// (layout of [`ColmaxScratch::a_pack`]) and return the packed prefix. The
+/// last tile repeats patch `m − 1` in its spare rows: a repeated patch
+/// cannot change a running max, so every tile runs full.
+fn pack_patches<'p>(pack: &'p mut Vec<f32>, a: &[f32], cols: usize) -> &'p [f32] {
+    let m = a.len() / cols;
+    let len = m.div_ceil(TALL_MR) * TALL_MR * cols;
+    if pack.len() < len {
+        pack.resize(len, 0.0);
     }
-    let acc = &mut scratch.acc[..nz];
-    for a_row in a.chunks_exact(cols) {
-        let w0 = a_row[0];
-        for (av, &x) in acc.iter_mut().zip(&panel.b_t[lo..lo + nz]) {
-            *av = w0 * x;
-        }
-        for (c, &w) in a_row.iter().enumerate().skip(1) {
-            for (av, &x) in acc.iter_mut().zip(&panel.b_t[c * stride + lo..c * stride + lo + nz]) {
-                *av += w * x;
-            }
-        }
-        for (o, &d) in out.iter_mut().zip(acc.iter()) {
-            if d > *o {
-                *o = d;
+    let pack = &mut pack[..len];
+    for (t, tile) in pack.chunks_exact_mut(TALL_MR * cols).enumerate() {
+        for mr in 0..TALL_MR {
+            let row = (t * TALL_MR + mr).min(m - 1);
+            for (c, &v) in a[row * cols..(row + 1) * cols].iter().enumerate() {
+                tile[c * TALL_MR + mr] = v;
             }
         }
     }
+    pack
 }
 
-/// Tall-panel path: transpose `a` once, then accumulate all `m` dot
-/// products per prototype row along contiguous patch columns.
-fn colmax_tall(
-    scratch: &mut ColmaxScratch,
-    a: &[f32],
-    m: usize,
-    b: &[f32],
-    cols: usize,
-    out: &mut [f32],
-) {
-    if scratch.a_t.len() < a.len() {
-        scratch.a_t.resize(a.len(), 0.0);
+/// Tall path over a packed patch panel: the AVX2 copy where the CPU has
+/// it, the portable copy otherwise.
+fn colmax_tall(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, the only feature the
+        // callee is compiled for; it was detected on the line above.
+        return unsafe { colmax_tall_avx2(a_pack, panel, lo, out) };
     }
-    if scratch.acc.len() < m {
-        scratch.acc.resize(m, 0.0);
-    }
-    let a_t = &mut scratch.a_t[..a.len()];
-    for (p, a_row) in a.chunks_exact(cols).enumerate() {
-        for (c, &v) in a_row.iter().enumerate() {
-            a_t[c * m + p] = v;
-        }
-    }
-    let acc = &mut scratch.acc[..m];
-    for (o, b_row) in out.iter_mut().zip(b.chunks_exact(cols)) {
-        let w0 = b_row[0];
-        for (av, &x) in acc.iter_mut().zip(&a_t[..m]) {
-            *av = w0 * x;
-        }
-        for (c, &w) in b_row.iter().enumerate().skip(1) {
-            for (av, &x) in acc.iter_mut().zip(&a_t[c * m..(c + 1) * m]) {
-                *av += w * x;
+    colmax_tall_body(a_pack, panel, lo, out);
+}
+
+/// [`colmax_tall_body`] compiled with AVX2 enabled: each accumulator row of
+/// the tile becomes one 256-bit register. FMA stays off, so every multiply
+/// and add rounds exactly as in the portable copy.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
+// is safe code.
+unsafe fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    colmax_tall_body(a_pack, panel, lo, out);
+}
+
+/// Register-tiled tall kernel, inlined into each ISA's copy (called
+/// directly, it is the portable copy): for each block of `TALL_NR`
+/// prototypes, walk every `TALL_MR`-patch tile of the packed panel, sum the
+/// tile's dot products over the channels in registers, and fold them into
+/// the block's running maxima in patch order. The last block may reach into
+/// the panel's zero columns; only its first `out` entries are stored.
+#[inline(always)]
+fn colmax_tall_body(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    let cols = panel.cols;
+    let stride = panel.stride();
+    for (jb, out_blk) in out.chunks_mut(TALL_NR).enumerate() {
+        let b_blk = &panel.b_t[lo + jb * TALL_NR..];
+        let mut best = [f32::NEG_INFINITY; TALL_NR];
+        for tile in a_pack.chunks_exact(TALL_MR * cols) {
+            let mut acc = [[0.0f32; TALL_NR]; TALL_MR];
+            let (w0, b0) = (&tile[..TALL_MR], &b_blk[..TALL_NR]);
+            for mr in 0..TALL_MR {
+                for jj in 0..TALL_NR {
+                    acc[mr][jj] = w0[mr] * b0[jj];
+                }
+            }
+            for c in 1..cols {
+                let w = &tile[c * TALL_MR..(c + 1) * TALL_MR];
+                let bc = &b_blk[c * stride..c * stride + TALL_NR];
+                for mr in 0..TALL_MR {
+                    for jj in 0..TALL_NR {
+                        acc[mr][jj] += w[mr] * bc[jj];
+                    }
+                }
+            }
+            for row in &acc {
+                for (bv, &d) in best.iter_mut().zip(row) {
+                    if d > *bv {
+                        *bv = d;
+                    }
+                }
             }
         }
-        *o = max_lanes(acc);
+        out_blk.copy_from_slice(&best[..out_blk.len()]);
     }
 }
 
@@ -349,35 +351,6 @@ fn colmax_wide(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
         }
         out_tile.copy_from_slice(&best[..out_tile.len()]);
     }
-}
-
-/// Maximum of a slice on [`DOT_LANES`] running-max lanes (vectorizable;
-/// `max` is order-independent, so this is exact). The slice must be
-/// non-empty.
-#[inline(always)]
-fn max_lanes(xs: &[f32]) -> f32 {
-    debug_assert!(!xs.is_empty());
-    let bulk = xs.len() - xs.len() % DOT_LANES;
-    let mut mx = [f32::NEG_INFINITY; DOT_LANES];
-    for ch in xs[..bulk].chunks_exact(DOT_LANES) {
-        for l in 0..DOT_LANES {
-            if ch[l] > mx[l] {
-                mx[l] = ch[l];
-            }
-        }
-    }
-    let mut best = f32::NEG_INFINITY;
-    for l in 0..DOT_LANES {
-        if mx[l] > best {
-            best = mx[l];
-        }
-    }
-    for &v in &xs[bulk..] {
-        if v > best {
-            best = v;
-        }
-    }
-    best
 }
 
 /// Output rows per register tile of [`gemm_f32`] (the `MR` of a classic
@@ -1020,6 +993,100 @@ mod tests {
             let mut part = vec![0.0f32; hi - lo];
             colmax_matmul_f32(&a, &b[lo * cols..hi * cols], cols, &mut part);
             assert_eq!(part, full[lo..hi], "shard [{lo}, {hi})");
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `(m, rows, cols)` shapes for the tall-kernel tests: tall (`m ≥
+    /// 2·cols`) and wide, with `m % TALL_MR ≠ 0` and `rows % TALL_NR ≠ 0`
+    /// tails, single patches and single channels.
+    const TALL_SHAPES: [(usize, usize, usize); 8] = [
+        (64, 24, 8),
+        (37, 29, 5),
+        (130, 17, 16),
+        (5, 3, 1),
+        (1, 8, 1),
+        (6, 40, 64),
+        (2, 9, 33),
+        (16, 3072, 64),
+    ];
+
+    /// Random `rows × cols` panel with planted signed zeros, so the tests
+    /// see `-0.0` sums and ties between `+0.0` and `-0.0` maxima.
+    fn tall_panel(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols)
+            .map(|i| match i % 13 {
+                3 => 0.0,
+                7 => -0.0,
+                _ => rng::normal(rng) as f32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tall_kernel_sums_in_naive_order() {
+        // The tall kernel adds the channels in the naive kernel's order, so
+        // away from signed zeros (where the naive sum starts at +0.0) the
+        // two agree bit for bit.
+        let mut rng = rng::std_rng(3);
+        for &(m, rows, cols) in &TALL_SHAPES {
+            let a: Vec<f32> = (0..m * cols).map(|_| rng::normal(&mut rng) as f32).collect();
+            let b: Vec<f32> = (0..rows * cols).map(|_| rng::normal(&mut rng) as f32).collect();
+            let panel = ColmaxPanel::new(&b, cols);
+            let mut pack = Vec::new();
+            let mut tall = vec![0.0f32; rows];
+            colmax_tall_body(pack_patches(&mut pack, &a, cols), &panel, 0, &mut tall);
+            let mut naive = vec![0.0f32; rows];
+            colmax_matmul_naive_f32(&a, &b, cols, &mut naive);
+            assert_eq!(bits(&tall), bits(&naive), "m={m} rows={rows} cols={cols}");
+        }
+    }
+
+    #[test]
+    fn tall_path_keeps_signed_zeros() {
+        // Two patches, one channel, so the tall path runs. A sum starts from
+        // its first product, not from +0.0, so an all-(-0.0) sum stays -0.0.
+        let mut out = [0.0f32; 1];
+        colmax_matmul_f32(&[1.0, 1.0], &[-0.0], 1, &mut out);
+        assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
+        // Patches are visited in order: -0.0 then +0.0 is a tie that keeps
+        // the first.
+        colmax_matmul_f32(&[-1.0, 1.0], &[0.0], 1, &mut out);
+        assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn avx2_tall_kernel_is_bit_identical_to_portable() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::is_x86_feature_detected!("avx2") {
+                return;
+            }
+            let mut rng = rng::std_rng(11);
+            let mut pack = Vec::new();
+            for &(m, rows, cols) in &TALL_SHAPES {
+                let a = tall_panel(&mut rng, m, cols);
+                let b = tall_panel(&mut rng, rows, cols);
+                let panel = ColmaxPanel::new(&b, cols);
+                let packed = pack_patches(&mut pack, &a, cols);
+                for lo in [0, 1, rows / 2, rows - 1] {
+                    for len in [rows - lo, (rows - lo).min(11), 1] {
+                        let mut portable = vec![0.0f32; len];
+                        colmax_tall_body(packed, &panel, lo, &mut portable);
+                        let mut avx2 = vec![0.0f32; len];
+                        // SAFETY: AVX2 support was detected at the top of the test.
+                        unsafe { colmax_tall_avx2(packed, &panel, lo, &mut avx2) };
+                        assert_eq!(
+                            bits(&portable),
+                            bits(&avx2),
+                            "m={m} rows={rows} cols={cols} lo={lo} len={len}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -274,6 +274,7 @@ impl Intake {
 
 impl IngestSink for Intake {
     fn ingest(&self, image: Image) -> ServeResult<u64> {
+        goggles_serve::check_finite_pixels(&image)?;
         let mut st = self.lock();
         if st.shutdown {
             return Err(ServeError::Closed);
@@ -413,8 +414,9 @@ impl Trainer {
     }
 
     /// Enqueue one image locally (same path as a wire `Ingest` op).
-    /// Returns the total accepted so far, or [`ServeError::Overloaded`] on
-    /// a full queue.
+    /// Returns the total accepted so far, [`ServeError::Overloaded`] on a
+    /// full queue, or [`ServeError::InvalidImage`] for an image with a NaN
+    /// or infinite pixel, which never reaches the training matrix.
     pub fn ingest(&self, image: Image) -> ServeResult<u64> {
         self.intake.ingest(image)
     }

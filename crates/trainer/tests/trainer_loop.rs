@@ -3,7 +3,7 @@
 //! serving plane answering throughout. Four scenarios:
 //!
 //! 1. happy path — a batch publishes under live label load with zero
-//!    dropped requests;
+//!    dropped requests, and a non-finite image is refused at intake;
 //! 2. offline gate failure (`trainer.gate` failpoint) — the candidate is
 //!    rejected and serving stays bit-identical on the old version;
 //! 3. canary regression (`trainer.canary` failpoint) — the candidate
@@ -20,7 +20,7 @@ mod loop_tests {
     use goggles_core::GogglesConfig;
     use goggles_datasets::{generate, TaskConfig, TaskKind};
     use goggles_serve::{
-        fault, FaultPlan, FittedLabeler, LabelService, ServeConfig, TrainingBootstrap,
+        fault, FaultPlan, FittedLabeler, LabelService, ServeConfig, ServeError, TrainingBootstrap,
     };
     use goggles_trainer::{RefitOutcome, Trainer, TrainerConfig};
     use goggles_vision::Image;
@@ -94,7 +94,11 @@ mod loop_tests {
     fn publishes_under_live_load_with_zero_drops() {
         let _guard = serial();
         let (config, bootstrap, fresh) = fixture(11);
-        let (service, trainer) = stack(bootstrap, &config, open_gate());
+        let options = open_gate();
+        // Exactly one cycle's worth: with more, a cycle may start once
+        // `min_batch` have arrived and leave the rest for the next one.
+        let batch = options.min_batch;
+        let (service, trainer) = stack(bootstrap, &config, options);
 
         // Live label load on a second thread for the whole cycle.
         let stop = Arc::new(AtomicBool::new(false));
@@ -111,7 +115,12 @@ mod loop_tests {
             })
         };
 
-        for img in fresh.iter().take(3).cloned() {
+        // A non-finite image is refused at intake, so it neither counts
+        // toward the batch nor reaches the training matrix.
+        let mut poisoned = fresh[0].clone();
+        poisoned.tensor_mut().as_mut_slice()[5] = f32::NAN;
+        assert!(matches!(trainer.ingest(poisoned), Err(ServeError::InvalidImage(_))));
+        for img in fresh.iter().take(batch).cloned() {
             trainer.ingest(img).unwrap();
         }
         assert!(trainer.wait_for_refits(1, REFIT_TIMEOUT), "refit cycle never completed");
@@ -120,12 +129,12 @@ mod loop_tests {
         assert!(answered > 0, "load thread never got a response");
 
         let status = trainer.status();
-        assert_eq!(status.ingested, 3);
+        assert_eq!(status.ingested, batch as u64);
         assert_eq!(status.published, 1, "status: {status:?}");
         assert_eq!(status.last_outcome, Some(RefitOutcome::Published));
         assert_eq!(status.last_published_version, Some(2));
         assert_eq!(service.registry().current_version(), 2);
-        assert_eq!(status.rows, 6 + 3, "frozen N plus the appended batch");
+        assert_eq!(status.rows, 6 + batch, "frozen N plus the appended batch");
         // The published model now answers requests.
         assert_eq!(service.label(&fresh[0]).unwrap().version, 2);
     }

@@ -1,13 +1,12 @@
 //! Affinity-kernel benchmark: single-row latency (m = 1, the online serving
-//! case) and batch build throughput of the blocked fused matmul +
-//! column-max path (`goggles_tensor::colmax_matmul_f32` + intra-request
-//! `n·z` sharding) versus the pre-blocking scalar reference
-//! (`PrototypeBank::affinity_rows_reference`) at identical geometry.
+//! case) and batch build throughput of the register-tiled fused matmul +
+//! column-max path (`goggles_tensor::colmax_matmul_panel_f32`) versus the
+//! pre-blocking scalar reference (`PrototypeBank::affinity_rows_reference`)
+//! at identical geometry.
 //!
 //! Not a paper artifact — Equation 2 is the paper's math either way — but
-//! the direct quantification of the ROADMAP "Perf" item: `fill_row` is the
-//! serving hot path, and this reports exactly what blocking and sharding
-//! buy on it.
+//! the direct quantification of what blocking buys on `fill_row`, the
+//! serving hot path.
 
 use super::report::Table;
 use super::RunParams;
@@ -24,15 +23,12 @@ pub struct AffinityBenchReport {
     pub n_train: usize,
     /// Affinity functions `α = layers · Z`.
     pub alpha: usize,
-    /// Thread budget of the sharded/batch measurements.
+    /// Thread budget of the batch measurements.
     pub threads: usize,
     /// Median latency of one `1 × αN` row on the scalar reference path, ms.
     pub single_naive_ms: f64,
     /// Median latency of one row on the blocked kernel, 1 thread, ms.
     pub single_blocked_1t_ms: f64,
-    /// Median latency of one row, blocked kernel + `n·z` sharding across
-    /// `threads`, ms.
-    pub single_sharded_ms: f64,
     /// Full-batch (`m = N`) build wall-clock on the reference path, seconds.
     pub batch_naive_s: f64,
     /// Full-batch build wall-clock on the blocked path with `threads`,
@@ -44,13 +40,13 @@ pub struct AffinityBenchReport {
 }
 
 impl AffinityBenchReport {
-    /// Single-request speedup of the sharded blocked path over the scalar
-    /// reference (the acceptance number: ≥ 2× on ≥ 4 threads).
+    /// Single-request speedup of the blocked path over the scalar
+    /// reference (the acceptance number: ≥ 2×).
     pub fn single_speedup(&self) -> f64 {
-        if self.single_sharded_ms <= 0.0 {
+        if self.single_blocked_1t_ms <= 0.0 {
             return 0.0;
         }
-        self.single_naive_ms / self.single_sharded_ms
+        self.single_naive_ms / self.single_blocked_1t_ms
     }
 
     /// Batch-build speedup of the blocked path over the scalar reference.
@@ -81,7 +77,6 @@ impl AffinityBenchReport {
         row("thread budget", format!("{}", self.threads));
         row("single row, scalar reference", format!("{:.3} ms", self.single_naive_ms));
         row("single row, blocked 1 thread", format!("{:.3} ms", self.single_blocked_1t_ms));
-        row("single row, blocked + sharded", format!("{:.3} ms", self.single_sharded_ms));
         row("single-row speedup vs reference", format!("{:.1}×", self.single_speedup()));
         row("batch build, scalar reference", format!("{:.3} s", self.batch_naive_s));
         row("batch build, blocked", format!("{:.3} s", self.batch_blocked_s));
@@ -96,7 +91,7 @@ impl AffinityBenchReport {
         format!(
             "{{\n  \"n_train\": {},\n  \"alpha\": {},\n  \"threads\": {},\n  \
              \"single_naive_ms\": {:.4},\n  \"single_blocked_1t_ms\": {:.4},\n  \
-             \"single_sharded_ms\": {:.4},\n  \"single_speedup\": {:.2},\n  \
+             \"single_speedup\": {:.2},\n  \
              \"batch_naive_s\": {:.6},\n  \"batch_blocked_s\": {:.6},\n  \
              \"batch_speedup\": {:.2},\n  \"batch_rows_per_s\": {:.1},\n  \
              \"max_abs_diff\": {:.3e}\n}}\n",
@@ -105,7 +100,6 @@ impl AffinityBenchReport {
             self.threads,
             self.single_naive_ms,
             self.single_blocked_1t_ms,
-            self.single_sharded_ms,
             self.single_speedup(),
             self.batch_naive_s,
             self.batch_blocked_s,
@@ -161,10 +155,7 @@ pub fn run(params: &RunParams) -> AffinityBenchReport {
         config.center_patches,
     );
     let bank = PrototypeBank::from_embeddings(&embeddings);
-    // The acceptance number is the m = 1 speedup on ≥ 4 threads, so grant
-    // at least that budget even on smaller machines (there the sharded
-    // figure shows the fan-out overhead is tolerated, not true scaling).
-    let threads = config.threads.max(4);
+    let threads = config.threads;
 
     // Correctness cross-check before timing anything.
     let reference = bank.affinity_rows_reference(&embeddings);
@@ -175,7 +166,6 @@ pub fn run(params: &RunParams) -> AffinityBenchReport {
     let reps = 15;
     let single_naive_ms = median_ms(reps, || bank.affinity_rows_reference(query));
     let single_blocked_1t_ms = median_ms(reps, || bank.affinity_rows(query, 1));
-    let single_sharded_ms = median_ms(reps, || bank.affinity_rows(query, threads));
 
     let batch_naive_s = median_ms(3, || bank.affinity_rows_reference(&embeddings)) / 1e3;
     let batch_blocked_s = median_ms(3, || bank.affinity_rows(&embeddings, threads)) / 1e3;
@@ -186,7 +176,6 @@ pub fn run(params: &RunParams) -> AffinityBenchReport {
         threads,
         single_naive_ms,
         single_blocked_1t_ms,
-        single_sharded_ms,
         batch_naive_s,
         batch_blocked_s,
         max_abs_diff,
@@ -204,8 +193,7 @@ mod tests {
             alpha: 30,
             threads: 4,
             single_naive_ms: 2.0,
-            single_blocked_1t_ms: 1.0,
-            single_sharded_ms: 0.4,
+            single_blocked_1t_ms: 0.4,
             batch_naive_s: 0.096,
             batch_blocked_s: 0.024,
             max_abs_diff: 3e-7,
@@ -217,7 +205,7 @@ mod tests {
             "alpha",
             "threads",
             "single_naive_ms",
-            "single_sharded_ms",
+            "single_blocked_1t_ms",
             "single_speedup",
             "batch_speedup",
             "batch_rows_per_s",
@@ -239,7 +227,6 @@ mod tests {
             threads: 1,
             single_naive_ms: 0.0,
             single_blocked_1t_ms: 0.0,
-            single_sharded_ms: 0.0,
             batch_naive_s: 0.0,
             batch_blocked_s: 0.0,
             max_abs_diff: 0.0,

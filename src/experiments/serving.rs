@@ -272,14 +272,11 @@ pub fn run(params: &RunParams) -> ServingReport {
     let held_out = ds.test_images();
     let truth = ds.test_labels();
 
-    // single-image latency distribution (direct, no queueing) with the
-    // per-request thread budget a default 2-worker service would grant —
-    // the affinity row is sharded across it (intra-request parallelism).
-    let embed_threads = ServeConfig::default().embed_threads;
+    // single-image latency distribution (direct, no queueing)
     let mut singles: Vec<f64> = Vec::with_capacity(held_out.len());
     for img in &held_out {
         let t = Instant::now();
-        let _ = labeler.label_one_sharded(img, embed_threads);
+        let _ = labeler.label_one(img);
         singles.push(t.elapsed().as_secs_f64() * 1e3);
     }
     singles.sort_by(|a, b| a.total_cmp(b));

@@ -344,6 +344,29 @@ fn oversized_image_fails_its_request_but_not_the_connection() {
 }
 
 #[test]
+fn non_finite_pixels_get_a_typed_error_and_the_connection_stays_up() {
+    // One NaN or infinite pixel used to flip answers to a confident wrong
+    // class. Over the wire it must come back as a typed, non-retryable
+    // error, counted in the metrics, with the connection still usable.
+    let (labeler, ds) = fixture(81);
+    let (service, _server, client) = spawn_stack(labeler, ServeConfig::default());
+    let good = ds.test_images()[0];
+    for bad_value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut bad = good.clone();
+        bad.tensor_mut().as_mut_slice()[17] = bad_value;
+        match client.label(&bad) {
+            Err(e @ ServeError::InvalidImage(_)) => assert!(!e.retryable()),
+            other => panic!("{bad_value}: expected InvalidImage, got {other:?}"),
+        }
+        assert!(matches!(client.ingest(&bad), Err(ServeError::InvalidImage(_))));
+        assert!(matches!(service.submit(bad), Err(ServeError::InvalidImage(_))));
+    }
+    assert!(client.label(good).is_ok(), "connection must stay usable");
+    let scrape = client.metrics().unwrap();
+    assert_eq!(scrape_value(&scrape, "goggles_requests_total{result=\"invalid\"}"), Some(6.0));
+}
+
+#[test]
 fn client_errs_cleanly_when_server_goes_away() {
     let (labeler, ds) = fixture(76);
     let (_service, server, client) = spawn_stack(labeler, ServeConfig::default());

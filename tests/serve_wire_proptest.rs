@@ -1,8 +1,9 @@
 //! Property tests over the network wire protocol, mirroring what
 //! `serve_codec_proptest.rs` does for snapshots: truncated frames,
-//! bit-flips, oversized length fields and garbage opcodes must always come
-//! back as `Err` — never a panic, never a hang, never an unbounded
-//! allocation — at both the framing layer and the payload decoders.
+//! bit-flips, oversized length fields, garbage opcodes and non-finite
+//! pixels must always come back as `Err` — never a panic, never a hang,
+//! never an unbounded allocation — at both the framing layer and the
+//! payload decoders.
 
 use goggles::serve::service::LabelResponse;
 use goggles::serve::wire::{
@@ -163,7 +164,7 @@ proptest! {
     /// client's `RetryPolicy` relies on to classify remote failures.
     #[test]
     fn error_replies_round_trip_variant_and_retryable_flag(
-        variant in 0usize..9,
+        variant in 0usize..10,
         chars in proptest::collection::vec(32u16..127, 0..48),
     ) {
         use goggles::serve::wire::encode_error_reply;
@@ -177,7 +178,8 @@ proptest! {
             5 => ServeError::Closed,
             6 => ServeError::Deadline,
             7 => ServeError::Wire(msg),
-            _ => ServeError::Overloaded,
+            8 => ServeError::Overloaded,
+            _ => ServeError::InvalidImage(msg),
         };
         let payload = encode_error_reply(&e);
         let decoded = decode_error_reply(&payload).unwrap();
@@ -194,7 +196,7 @@ proptest! {
     /// rejected at decode time.
     #[test]
     fn lying_retryable_flags_always_err(
-        variant in 0usize..9,
+        variant in 0usize..10,
         junk in 2u16..256,
     ) {
         use goggles::serve::wire::encode_error_reply;
@@ -207,7 +209,8 @@ proptest! {
             5 => ServeError::Closed,
             6 => ServeError::Deadline,
             7 => ServeError::Wire("w".into()),
-            _ => ServeError::Overloaded,
+            8 => ServeError::Overloaded,
+            _ => ServeError::InvalidImage("n".into()),
         };
         let mut toggled = encode_error_reply(&e);
         toggled[1] ^= 1; // flag now disagrees with the variant's retryable()
@@ -256,6 +259,29 @@ proptest! {
         let mut padded = encoded.clone();
         padded.extend(std::iter::repeat_n(0u8, pad));
         prop_assert!(matches!(decode_ingest_request(&padded), Err(ServeError::Wire(_))));
+    }
+
+    /// A well-formed label or ingest payload with one NaN or ±inf pixel
+    /// anywhere decodes to the typed `InvalidImage` error, never to an
+    /// image the model would label or train on.
+    #[test]
+    fn non_finite_pixels_are_rejected_typed(
+        c in 1usize..4,
+        h in 1usize..10,
+        w in 1usize..10,
+        at in 0usize..1_000_000,
+        kind in 0usize..3,
+        deadline_us in 0u64..1_000_000,
+    ) {
+        use goggles::serve::wire::{decode_ingest_request, encode_ingest_request};
+        let mut image = Image::filled(c, h, w, 0.5);
+        let pixels = image.tensor_mut().as_mut_slice();
+        let at = at % pixels.len();
+        pixels[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+        let label = decode_label_request(&encode_label_request(&image, deadline_us));
+        prop_assert!(matches!(label, Err(ServeError::InvalidImage(_))), "{label:?}");
+        let ingest = decode_ingest_request(&encode_ingest_request(&image));
+        prop_assert!(matches!(ingest, Err(ServeError::InvalidImage(_))), "{ingest:?}");
     }
 
     /// An `IngestReply` is exactly one little-endian u64 — anything longer
