@@ -3,10 +3,9 @@
 //! Four pieces, all dependency-free:
 //!
 //! - [`metrics`]: a lock-free registry of counters, gauges, and
-//!   power-of-two histograms (the same bucket scheme as the serving
-//!   crate's `LatencyHistogram`), rendered in the Prometheus text
-//!   exposition format. Registration takes a mutex once; the recording
-//!   hot path is relaxed atomics only.
+//!   power-of-two histograms, rendered in the Prometheus text exposition
+//!   format. Registration takes a mutex once; the recording hot path is
+//!   relaxed atomics only.
 //! - [`span`]: RAII stage timers ([`Span`]) feeding those histograms,
 //!   plus a bounded [`TraceRing`] of recent per-stage events.
 //! - [`log`]: a leveled structured logger (text or JSONL to stderr).

@@ -16,12 +16,10 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Number of power-of-two histogram buckets. Bucket `i` covers values in
 /// `(2^i, 2^(i+1)]` microseconds-or-whatever-unit, with bucket 0 also
 /// absorbing 0 and 1, and the top bucket absorbing everything larger.
-/// Matches the serving stack's `LatencyHistogram` so snapshots convert
-/// bucket-for-bucket.
 pub(crate) const POW2_BUCKETS: usize = 32;
 
-/// Index of the power-of-two bucket for `value` (same scheme as the serving
-/// crate's `LatencyHistogram::bucket_index`).
+/// Index of the power-of-two bucket for `value`: `floor(log2(value))`,
+/// clamped to the top bucket.
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
     (63 - value.max(1).leading_zeros() as usize).min(POW2_BUCKETS - 1)
@@ -160,10 +158,11 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of a histogram, with the same percentile semantics as
-/// the serving crate's `LatencyHistogram` (conservative: reports the bucket
-/// upper bound).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Point-in-time copy of a histogram. Quantiles are conservative: they
+/// report the upper bound of the bucket holding the quantile observation,
+/// so a true pXX is never understated, and overstated by at most the 2×
+/// bucket resolution.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub counts: [u64; POW2_BUCKETS],
     pub sum: u64,
@@ -176,7 +175,6 @@ impl HistogramSnapshot {
 
     /// Upper bound of the bucket holding the `q`-quantile observation
     /// (0 when the histogram is empty).
-    // goggles-lint: allow(dead-pub): snapshot quantile accessor the scrape text renders inline; exercised only by unit tests
     pub fn quantile_upper(&self, q: f64) -> u64 {
         let total = self.total();
         if total == 0 {
@@ -491,15 +489,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_scheme_matches_latency_histogram() {
+    fn bucket_scheme_is_power_of_two() {
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 0);
         assert_eq!(bucket_index(2), 1);
         assert_eq!(bucket_index(3), 1);
         assert_eq!(bucket_index(4), 2);
+        assert_eq!(bucket_index(1024), 10);
         assert_eq!(bucket_index(u64::MAX), POW2_BUCKETS - 1);
         assert_eq!(bucket_upper(0), 2);
         assert_eq!(bucket_upper(1), 4);
+        assert_eq!(bucket_upper(10), 2048);
         assert_eq!(bucket_upper(POW2_BUCKETS - 1), u64::MAX);
     }
 
@@ -594,6 +594,22 @@ mod tests {
         assert_eq!(snap.total(), 4);
         assert_eq!(snap.quantile_upper(0.5), 2); // bucket of the 1s
         assert_eq!(snap.quantile_upper(0.99), 1024); // bucket of 1000
-        assert_eq!(HistogramSnapshot { counts: [0; POW2_BUCKETS], sum: 0 }.quantile_upper(0.5), 0);
+        assert_eq!(HistogramSnapshot::default().quantile_upper(0.5), 0, "empty histogram");
+
+        // 98 fast requests (~100 µs), 2 slow ones (~100 ms): p50 must stay
+        // in the fast bucket, p99 must reach the slow one.
+        let h = Histogram::detached();
+        for _ in 0..98 {
+            h.observe(100);
+        }
+        h.observe(100_000);
+        h.observe(100_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.total(), 100);
+        assert_eq!(snap.sum, 98 * 100 + 2 * 100_000);
+        assert_eq!(snap.quantile_upper(0.50), 128);
+        assert_eq!(snap.quantile_upper(0.98), 128);
+        assert_eq!(snap.quantile_upper(0.99), 131_072);
+        assert_eq!(snap.quantile_upper(1.0), 131_072);
     }
 }

@@ -73,11 +73,10 @@ pub mod wire;
 pub use api::{Labeler, Ticket};
 pub use client::{RemoteLabeler, RetryPolicy};
 pub use fault::FaultPlan;
+pub use goggles_obs::HistogramSnapshot;
 pub use registry::{PublishedSnapshot, SnapshotRegistry, VersionInfo};
 pub use server::{IngestSink, ServerOptions, WireServer};
-pub use service::{
-    LabelResponse, LabelService, LatencyHistogram, ServeConfig, ServiceStats, StageStats,
-};
+pub use service::{LabelResponse, LabelService, ServeConfig, ServiceStats, StageStats};
 pub use snapshot::{
     sweep_snapshot_dir, FittedLabeler, SnapshotFormat, StageTiming, SweepReport, TrainingBootstrap,
 };

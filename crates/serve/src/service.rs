@@ -6,9 +6,12 @@
 //! [`ServeConfig::batch_timeout`] for more to arrive (capped at
 //! [`ServeConfig::max_batch`]) so concurrent traffic is labeled in one
 //! embedding/fold-in pass — the classic latency/throughput trade of
-//! inference serving. Throughput and latency counters (including a
-//! fixed-bucket [`LatencyHistogram`] for p50/p99) are kept on the side and
-//! can be snapshotted at any time with [`LabelService::stats`].
+//! inference serving. Every outcome, queue depth and latency is recorded
+//! once, into the service's [`goggles_obs::Registry`]: that registry is
+//! the only bookkeeping. [`LabelService::render_metrics`] exports it as
+//! Prometheus text, and [`LabelService::stats`] /
+//! [`LabelService::stage_stats`] read the same handles, so the two views
+//! cannot disagree.
 //!
 //! Submission is **ticket-based** ([`LabelService::submit`] →
 //! [`Ticket`]): the caller gets a handle it can `poll`, `wait`, or
@@ -31,9 +34,10 @@ use crate::registry::{PublishedSnapshot, SnapshotRegistry};
 use crate::snapshot::FittedLabeler;
 use crate::{ServeError, ServeResult};
 use goggles_core::{EmbedScratch, ProbabilisticLabels};
+use goggles_obs::HistogramSnapshot;
 use goggles_vision::Image;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -136,131 +140,63 @@ pub struct LabelResponse {
     pub version: u64,
 }
 
-/// Number of power-of-two latency buckets in [`LatencyHistogram`]. Bucket
-/// `i` counts requests whose latency fell in `[2^i, 2^(i+1))` microseconds
-/// (bucket 0 also absorbs 0), so 32 buckets cover 1 µs to ~71 minutes.
-pub(crate) const LATENCY_BUCKETS: usize = 32;
-
-/// Fixed-bucket (power-of-two) latency histogram, microsecond domain.
-///
-/// Mean and max alone hide tail latency — the metric that matters for a
-/// network front — so the service counts every request into one of
-/// `LATENCY_BUCKETS` log-scale buckets and derives percentiles from the
-/// counts. Percentiles are conservative: a bucket's *upper* bound is
-/// reported, so the true pXX is never understated by more than the 2×
-/// bucket resolution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// Request count per bucket.
-    pub counts: [u64; LATENCY_BUCKETS],
-}
-
-impl LatencyHistogram {
-    /// Bucket index for a latency in microseconds: `floor(log2(us))`,
-    /// clamped to the top bucket (0 µs lands in bucket 0).
-    pub fn bucket_index(us: u64) -> usize {
-        (63 - us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-    }
-
-    /// Upper bound (exclusive) of bucket `i` in microseconds; the top
-    /// bucket is unbounded.
-    pub(crate) fn bucket_upper_us(i: usize) -> u64 {
-        if i >= LATENCY_BUCKETS - 1 {
-            u64::MAX
-        } else {
-            1u64 << (i + 1)
-        }
-    }
-
-    /// Count one observation (test/bench-side helper; the service records
-    /// through its atomic counters).
-    pub fn record(&mut self, us: u64) {
-        if let Some(count) = self.counts.get_mut(Self::bucket_index(us)) {
-            *count += 1;
-        }
-    }
-
-    /// Add `other`'s counts into `self`, bucket by bucket — how
-    /// [`LabelService::stats`] folds the per-worker histogram shards into
-    /// one service-wide distribution.
-    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The latency (µs, bucket upper bound) below which fraction `q` of
-    /// requests completed; 0 when empty. `q` is clamped to `(0, 1]`.
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        let total = self.total();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Self::bucket_upper_us(i);
-            }
-        }
-        Self::bucket_upper_us(LATENCY_BUCKETS - 1)
-    }
-}
-
-/// Monotonic counters captured by [`LabelService::stats`].
+/// The service's counters, read from its observability registry by
+/// [`LabelService::stats`]: each field is the value of one exported series,
+/// named in its doc.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 // goggles-lint: allow(dead-pub): return type of pub LabelService::stats; external callers reach it through inference
 pub struct ServiceStats {
-    /// Requests answered.
+    /// Requests answered (`goggles_requests_total{result="ok"}`).
     pub requests: u64,
-    /// Micro-batches executed.
+    /// Micro-batches executed, salvage retries included
+    /// (`goggles_batches_total`).
     pub batches: u64,
-    /// Total images labeled (== requests; kept separate for clarity).
-    pub images: u64,
-    /// Sum of per-request queue+service latency, microseconds.
-    pub total_latency_us: u64,
-    /// Worst single-request latency, microseconds.
-    pub max_latency_us: u64,
-    /// Batches on which the labeler panicked. The batch's requests are then
+    /// Batches on which the labeler panicked
+    /// (`goggles_batches_failed_total`). The batch's requests are then
     /// retried individually (salvage), so a failed batch no longer implies
     /// failed requests — see [`ServiceStats::failed_requests`].
     pub failed_batches: u64,
     /// Requests dropped because the labeler panicked on them *individually*
     /// (the true poison of a failed batch, or a poisoned singleton). Their
-    /// clients received [`crate::ServeError::Closed`]. Disjoint from
+    /// clients received [`crate::ServeError::Closed`]
+    /// (`goggles_requests_total{result="failed"}`). Disjoint from
     /// `requests`: a request is counted in exactly one of the two.
     pub failed_requests: u64,
     /// Requests answered with [`crate::ServeError::Deadline`] because their
-    /// deadline expired before (or at) submission, or while queued. Never
-    /// labeled, never counted in `requests`.
+    /// deadline expired before (or at) submission, or while queued
+    /// (`goggles_requests_total{result="deadline"}`). Never labeled, never
+    /// counted in `requests`.
     pub deadline_expired: u64,
     /// Requests skipped because their [`Ticket`] was dropped while they
-    /// were still queued (drop-to-cancel). Never labeled, never counted in
-    /// `requests`.
+    /// were still queued (drop-to-cancel;
+    /// `goggles_requests_total{result="cancelled"}`). Never labeled, never
+    /// counted in `requests`.
     pub cancelled: u64,
     /// Requests shed with [`crate::ServeError::Overloaded`] because the
     /// queue was at [`ServeConfig::shed_watermark`] (or the connection hit
-    /// its inflight cap, for wire traffic). Never queued, never labeled.
+    /// its inflight cap, for wire traffic;
+    /// `goggles_requests_total{result="shed"}`). Never queued, never
+    /// labeled.
     pub shed: u64,
+    /// Requests refused with [`crate::ServeError::InvalidImage`] by
+    /// `submit` or the wire decoder
+    /// (`goggles_requests_total{result="invalid"}`). Never queued, never
+    /// labeled.
+    pub invalid: u64,
     /// Service workers respawned by the watchdog after a panic escaped a
-    /// batch (see `goggles_worker_restarts_total`). The panicked batch's
+    /// batch (`goggles_worker_restarts_total`). The panicked batch's
     /// clients are answered [`crate::ServeError::Closed`]; the respawned
     /// worker continues with fresh scratch.
     pub worker_restarts: u64,
-    /// Requests sitting in the queue at snapshot time (a live gauge, not a
-    /// monotonic counter: the one non-cumulative field here).
+    /// Requests sitting in the queue at snapshot time
+    /// (`goggles_queue_depth`; a live gauge, not a monotonic counter: the
+    /// one non-cumulative field here).
     pub queue_depth: u64,
-    /// Per-request latency distribution of answered requests.
-    pub latency: LatencyHistogram,
-    /// Distribution of executed micro-batch sizes (same power-of-two
-    /// buckets as `latency`; sizes are small, so the low buckets carry it).
-    pub batch_size: LatencyHistogram,
+    /// Enqueue-to-answer latency of answered requests, microseconds
+    /// (`goggles_request_latency_us`); its `sum` is the total latency.
+    pub latency: HistogramSnapshot,
+    /// Executed micro-batch sizes (`goggles_batch_size`).
+    pub batch_size: HistogramSnapshot,
 }
 
 impl ServiceStats {
@@ -269,27 +205,26 @@ impl ServiceStats {
         if self.batches == 0 {
             0.0
         } else {
-            self.images as f64 / self.batches as f64
+            self.requests as f64 / self.batches as f64
         }
     }
 
     /// Mean request latency in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_latency_us as f64 / self.requests as f64
+        match self.latency.total() {
+            0 => 0.0,
+            n => self.latency.sum as f64 / n as f64,
         }
     }
 
     /// Median request latency in microseconds (bucket upper bound).
     pub fn p50_latency_us(&self) -> u64 {
-        self.latency.percentile_us(0.50)
+        self.latency.quantile_upper(0.50)
     }
 
     /// 99th-percentile request latency in microseconds (bucket upper bound).
     pub fn p99_latency_us(&self) -> u64 {
-        self.latency.percentile_us(0.99)
+        self.latency.quantile_upper(0.99)
     }
 }
 
@@ -301,21 +236,15 @@ impl ServiceStats {
 // goggles-lint: allow(dead-pub): field type of the pub ServiceStats; reached through inference
 pub struct StageStats {
     /// Time requests sat queued before being drained into a batch.
-    pub queue_wait: LatencyHistogram,
+    pub queue_wait: HistogramSnapshot,
     /// Linger + drain time spent assembling each batch.
-    pub batch_assembly: LatencyHistogram,
+    pub batch_assembly: HistogramSnapshot,
     /// Backbone forward (im2col/GEMM trunk), per batch.
-    pub embed: LatencyHistogram,
+    pub embed: HistogramSnapshot,
     /// Affinity rows against the prototype bank (colmax), per batch.
-    pub affinity: LatencyHistogram,
+    pub affinity: HistogramSnapshot,
     /// Base-GMM posteriors + ensemble fold-in + mapping, per batch.
-    pub endmodel: LatencyHistogram,
-}
-
-/// Copy an obs histogram snapshot into the serving crate's histogram type —
-/// both use the same 32 power-of-two buckets, so this is bucket-for-bucket.
-fn latency_from_obs(snap: &goggles_obs::HistogramSnapshot) -> LatencyHistogram {
-    LatencyHistogram { counts: snap.counts }
+    pub endmodel: HistogramSnapshot,
 }
 
 struct Request {
@@ -332,53 +261,10 @@ struct Request {
     respond: mpsc::Sender<ServeResult<LabelResponse>>,
 }
 
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    batches: AtomicU64,
-    images: AtomicU64,
-    total_latency_us: AtomicU64,
-    max_latency_us: AtomicU64,
-    failed_batches: AtomicU64,
-    failed_requests: AtomicU64,
-    deadline_expired: AtomicU64,
-    cancelled: AtomicU64,
-    shed: AtomicU64,
-    worker_restarts: AtomicU64,
-    queue_depth: AtomicU64,
-}
-
-/// Histogram buckets owned by one worker thread. Each worker bumps only its
-/// own shard (no cross-worker cache-line ping-pong on the latency path);
-/// [`LabelService::stats`] merges the shards with
-/// [`LatencyHistogram::merge`].
-#[derive(Default)]
-struct WorkerShard {
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS],
-    batch_size_buckets: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl WorkerShard {
-    fn latency(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::default();
-        for (count, b) in h.counts.iter_mut().zip(self.latency_buckets.iter()) {
-            *count = b.load(Ordering::Relaxed);
-        }
-        h
-    }
-
-    fn batch_size(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::default();
-        for (count, b) in h.counts.iter_mut().zip(self.batch_size_buckets.iter()) {
-            *count = b.load(Ordering::Relaxed);
-        }
-        h
-    }
-}
-
 /// Cached handles into this service's observability registry, resolved once
 /// at spawn so every hot-path recording is a relaxed atomic add — no lock,
-/// no lookup, no allocation.
+/// no lookup, no allocation. These handles are the service's only
+/// bookkeeping: [`LabelService::stats`] reads them back.
 pub(crate) struct ServeMetrics {
     registry: Arc<goggles_obs::Registry>,
     stage_queue_wait: goggles_obs::Histogram,
@@ -386,6 +272,7 @@ pub(crate) struct ServeMetrics {
     stage_embed: goggles_obs::Histogram,
     stage_affinity: goggles_obs::Histogram,
     stage_endmodel: goggles_obs::Histogram,
+    request_latency: goggles_obs::Histogram,
     pub(crate) stage_wire_decode: goggles_obs::Histogram,
     pub(crate) stage_wire_encode: goggles_obs::Histogram,
     requests_ok: goggles_obs::Counter,
@@ -420,6 +307,11 @@ impl ServeMetrics {
             stage_embed: stage("embed"),
             stage_affinity: stage("affinity"),
             stage_endmodel: stage("endmodel"),
+            request_latency: registry.histogram(
+                "goggles_request_latency_us",
+                "Enqueue-to-answer latency of answered requests in microseconds",
+                &[],
+            ),
             stage_wire_decode: stage("wire_decode"),
             stage_wire_encode: stage("wire_encode"),
             requests_ok: result("ok"),
@@ -529,9 +421,6 @@ struct Shared {
     /// Versioned labelers; workers resolve the current one per batch.
     registry: Arc<SnapshotRegistry>,
     config: ServeConfig,
-    counters: Counters,
-    /// Per-worker histogram shards, indexed by worker id.
-    shards: Vec<WorkerShard>,
     /// Cached observability handles (shared with the wire server's
     /// encode/decode spans).
     metrics: Arc<ServeMetrics>,
@@ -570,15 +459,12 @@ impl LabelService {
             crate::fault::install(plan);
         }
         let metrics = Arc::new(ServeMetrics::new(&registry, config.trace_capacity));
-        let shards = (0..config.workers).map(|_| WorkerShard::default()).collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { queue: VecDeque::new(), shutting_down: false }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             registry,
             config: config.clone(),
-            counters: Counters::default(),
-            shards,
             metrics,
         });
         let workers = (0..config.workers)
@@ -622,7 +508,6 @@ impl LabelService {
             return Err(e);
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.shared.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.requests_deadline.inc();
             return Ok(Ticket::ready(Err(ServeError::Deadline)));
         }
@@ -636,7 +521,6 @@ impl LabelService {
         let watermark = self.shared.config.shed_watermark;
         if watermark > 0 && state.queue.len() >= watermark {
             drop(state);
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.requests_shed.inc();
             return Err(ServeError::Overloaded);
         }
@@ -656,7 +540,6 @@ impl LabelService {
             cancel: Arc::clone(&cancel),
             respond: tx,
         });
-        self.shared.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.queue_depth.add(1);
         self.shared.not_empty.notify_one();
         Ok(Ticket::pending(rx, Some(cancel)))
@@ -678,46 +561,39 @@ impl LabelService {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Snapshot of the service counters. Histograms are merged from the
-    /// per-worker shards bucket-by-bucket (`LatencyHistogram::merge`).
+    /// Snapshot of the service counters, read from the same registry
+    /// handles [`LabelService::render_metrics`] exports.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.shared.counters;
-        let mut latency = LatencyHistogram::default();
-        let mut batch_size = LatencyHistogram::default();
-        for shard in &self.shared.shards {
-            latency.merge(&shard.latency());
-            batch_size.merge(&shard.batch_size());
-        }
+        let m = &self.shared.metrics;
         ServiceStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            images: c.images.load(Ordering::Relaxed),
-            total_latency_us: c.total_latency_us.load(Ordering::Relaxed),
-            max_latency_us: c.max_latency_us.load(Ordering::Relaxed),
-            failed_batches: c.failed_batches.load(Ordering::Relaxed),
-            failed_requests: c.failed_requests.load(Ordering::Relaxed),
-            deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            queue_depth: c.queue_depth.load(Ordering::Relaxed),
-            latency,
-            batch_size,
+            requests: m.requests_ok.get(),
+            batches: m.batches_total.get(),
+            failed_batches: m.batches_failed.get(),
+            failed_requests: m.requests_failed.get(),
+            deadline_expired: m.requests_deadline.get(),
+            cancelled: m.requests_cancelled.get(),
+            shed: m.requests_shed.get(),
+            invalid: m.requests_invalid.get(),
+            worker_restarts: m.worker_restarts.get(),
+            // Never negative: a request's `add` happens under the queue lock
+            // before the drain that `sub`s it.
+            queue_depth: u64::try_from(m.queue_depth.get()).unwrap_or(0),
+            latency: m.request_latency.snapshot(),
+            batch_size: m.batch_size.snapshot(),
         }
     }
 
     /// Per-stage latency distributions of the serving path (whole-batch
     /// durations for embed/affinity/endmodel, per-request for queue wait,
-    /// per-drain for batch assembly). Converted from the observability
-    /// registry's histograms — the bucket schemes are identical.
+    /// per-drain for batch assembly), read from the observability registry.
     pub fn stage_stats(&self) -> StageStats {
         let m = &self.shared.metrics;
         StageStats {
-            queue_wait: latency_from_obs(&m.stage_queue_wait.snapshot()),
-            batch_assembly: latency_from_obs(&m.stage_batch_assembly.snapshot()),
-            embed: latency_from_obs(&m.stage_embed.snapshot()),
-            affinity: latency_from_obs(&m.stage_affinity.snapshot()),
-            endmodel: latency_from_obs(&m.stage_endmodel.snapshot()),
+            queue_wait: m.stage_queue_wait.snapshot(),
+            batch_assembly: m.stage_batch_assembly.snapshot(),
+            embed: m.stage_embed.snapshot(),
+            affinity: m.stage_affinity.snapshot(),
+            endmodel: m.stage_endmodel.snapshot(),
         }
     }
 
@@ -747,13 +623,12 @@ impl LabelService {
     /// the `result="shed"` metric count every shed regardless of which
     /// layer refused it.
     pub(crate) fn record_shed(&self) {
-        self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.requests_shed.inc();
     }
 
     /// Record one request refused as [`ServeError::InvalidImage`] — by
-    /// `submit` or, before it, by the wire decoder — under the
-    /// `result="invalid"` metric.
+    /// `submit` or, before it, by the wire decoder — under
+    /// [`ServiceStats::invalid`] and the `result="invalid"` metric.
     pub(crate) fn record_invalid(&self) {
         self.shared.metrics.requests_invalid.inc();
     }
@@ -837,7 +712,7 @@ impl Labeler for LabelService {
 fn worker_main(shared: &Shared, worker: usize) {
     loop {
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(shared, worker)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(shared)));
         match outcome {
             // Clean return: shutdown drained the queue; the pool winds down.
             Ok(()) => return,
@@ -848,7 +723,6 @@ fn worker_main(shared: &Shared, worker: usize) {
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                shared.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.worker_restarts.inc();
                 goggles_obs::log::warn(
                     "serve",
@@ -863,17 +737,11 @@ fn worker_main(shared: &Shared, worker: usize) {
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared) {
     // One embedding scratch arena per worker, held across requests: the
     // backbone's im2col/GEMM/activation buffers grow once and every
     // subsequent batch embeds allocation-free (outputs aside).
     let mut scratch = EmbedScratch::new();
-    let Some(shard) = shared.shards.get(worker) else {
-        // One shard is allocated per worker index at spawn; a missing shard
-        // would be a construction bug, and a dead worker is the loudest
-        // recoverable signal.
-        return;
-    };
     loop {
         let batch = match next_batch(shared) {
             Some(batch) => batch,
@@ -883,7 +751,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // panic here escapes to the watchdog, exercising the respawn path
         // (the held batch unwinds → its tickets resolve Closed).
         crate::fault::maybe_panic("worker.batch");
-        run_batch(shared, shard, &mut scratch, batch);
+        run_batch(shared, &mut scratch, batch);
     }
 }
 
@@ -951,7 +819,6 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
         }
         drop(state);
         let m = &shared.metrics;
-        shared.counters.queue_depth.fetch_sub(take as u64, Ordering::Relaxed);
         m.queue_depth.sub(take as i64);
         // Queue wait of every request that made it into the batch, plus the
         // assembly (linger + drain) cost of the batch itself.
@@ -964,11 +831,9 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
             m.trace.push("batch_assembly", assembly_us, batch.len() as u64);
         }
         if cancelled > 0 {
-            shared.counters.cancelled.fetch_add(cancelled, Ordering::Relaxed);
             m.requests_cancelled.add(cancelled);
         }
         if !expired.is_empty() {
-            shared.counters.deadline_expired.fetch_add(expired.len() as u64, Ordering::Relaxed);
             m.requests_deadline.add(expired.len() as u64);
             for request in expired {
                 let _ = request.respond.send(Err(ServeError::Deadline));
@@ -983,12 +848,7 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
     }
 }
 
-fn run_batch(
-    shared: &Shared,
-    shard: &WorkerShard,
-    scratch: &mut EmbedScratch,
-    batch: Vec<Request>,
-) {
+fn run_batch(shared: &Shared, scratch: &mut EmbedScratch, batch: Vec<Request>) {
     // Resolve the current snapshot once per batch: the lease pins the
     // version for this batch's whole lifetime (labeling + responses), while
     // a concurrent publish/rollback is picked up by the next batch. No
@@ -1019,13 +879,12 @@ fn run_batch(
                     ("panic", goggles_obs::Value::from(msg)),
                 ],
             );
-            shared.counters.failed_batches.fetch_add(1, Ordering::Relaxed);
             shared.metrics.batches_failed.inc();
             // A panicked embed may have left the arena buffers at any size;
             // they stay valid (growth-only), but retry with a fresh scratch
             // out of caution.
             *scratch = EmbedScratch::new();
-            salvage_batch(shared, shard, &lease, batch);
+            salvage_batch(shared, &lease, batch);
             return;
         }
     };
@@ -1039,7 +898,7 @@ fn run_batch(
         m.trace.push("affinity", timing.affinity_us, n);
         m.trace.push("endmodel", timing.endmodel_us, n);
     }
-    respond(shared, shard, &lease, &batch, &labels);
+    respond(shared, &lease, &batch, &labels);
 }
 
 /// A poisoned batch panicked the labeler. Retry each member individually on
@@ -1048,14 +907,8 @@ fn run_batch(
 /// [`ServeError::Closed`]) and counted in
 /// [`ServiceStats::failed_requests`]. A singleton batch *is* its own
 /// poison — no retry, it would only panic again.
-fn salvage_batch(
-    shared: &Shared,
-    shard: &WorkerShard,
-    lease: &PublishedSnapshot,
-    batch: Vec<Request>,
-) {
+fn salvage_batch(shared: &Shared, lease: &PublishedSnapshot, batch: Vec<Request>) {
     if batch.len() <= 1 {
-        shared.counters.failed_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.metrics.requests_failed.add(batch.len() as u64);
         for request in batch {
             let _ = request.respond.send(Err(ServeError::Closed));
@@ -1067,9 +920,8 @@ fn salvage_batch(
             lease.labeler().label_batch(&[request.image.as_ref()], shared.config.embed_threads)
         }));
         match outcome {
-            Ok(labels) => respond(shared, shard, lease, std::slice::from_ref(&request), &labels),
+            Ok(labels) => respond(shared, lease, std::slice::from_ref(&request), &labels),
             Err(_) => {
-                shared.counters.failed_requests.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.requests_failed.inc();
                 let _ = request.respond.send(Err(ServeError::Closed));
             }
@@ -1077,43 +929,24 @@ fn salvage_batch(
     }
 }
 
-/// Bump the counters and send the answers for a successfully labeled set of
-/// requests (`labels` row `i` answers `batch[i]`).
+/// Record the outcome and send the answers for a successfully labeled set
+/// of requests (`labels` row `i` answers `batch[i]`).
 fn respond(
     shared: &Shared,
-    shard: &WorkerShard,
     lease: &PublishedSnapshot,
     batch: &[Request],
     labels: &ProbabilisticLabels,
 ) {
     let done = Instant::now();
-    let mut total_us = 0u64;
-    let mut max_us = 0u64;
-    let c = &shared.counters;
     let m = &shared.metrics;
+    // Recorded *before* the responses go out, so a client that observed its
+    // answer also observes its request in `stats()`.
     for request in batch {
-        let us = done.duration_since(request.enqueued).as_micros() as u64;
-        total_us += us;
-        max_us = max_us.max(us);
-        if let Some(bucket) = shard.latency_buckets.get(LatencyHistogram::bucket_index(us)) {
-            bucket.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if let Some(bucket) =
-        shard.batch_size_buckets.get(LatencyHistogram::bucket_index(batch.len() as u64))
-    {
-        bucket.fetch_add(1, Ordering::Relaxed);
+        m.request_latency.observe(done.duration_since(request.enqueued).as_micros() as u64);
     }
     m.batch_size.observe(batch.len() as u64);
     m.requests_ok.add(batch.len() as u64);
     m.batches_total.inc();
-    // Counters are bumped *before* the responses go out, so a client that
-    // observed its answer also observes its request in `stats()`.
-    c.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    c.images.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    c.batches.fetch_add(1, Ordering::Relaxed);
-    c.total_latency_us.fetch_add(total_us, Ordering::Relaxed);
-    c.max_latency_us.fetch_max(max_us, Ordering::Relaxed);
     lease.record_served(batch.len() as u64);
     for (i, request) in batch.iter().enumerate() {
         // goggles-lint: allow(alloc-hot): each response owns its probability row — the copy *is* the handoff to the waiting client
@@ -1173,7 +1006,8 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.requests, ds.test_indices.len() as u64);
         assert!(stats.batches >= 1);
-        assert!(stats.max_latency_us > 0);
+        assert!(stats.latency.sum > 0);
+        assert_eq!(stats.latency.total(), stats.requests);
     }
 
     #[test]
@@ -1419,34 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_percentiles() {
-        assert_eq!(LatencyHistogram::bucket_index(0), 0);
-        assert_eq!(LatencyHistogram::bucket_index(1), 0);
-        assert_eq!(LatencyHistogram::bucket_index(2), 1);
-        assert_eq!(LatencyHistogram::bucket_index(3), 1);
-        assert_eq!(LatencyHistogram::bucket_index(1024), 10);
-        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
-        assert_eq!(LatencyHistogram::bucket_upper_us(0), 2);
-        assert_eq!(LatencyHistogram::bucket_upper_us(10), 2048);
-        assert_eq!(LatencyHistogram::bucket_upper_us(LATENCY_BUCKETS - 1), u64::MAX);
-
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.percentile_us(0.5), 0, "empty histogram");
-        // 98 fast requests (~100 µs), 2 slow ones (~100 ms): p50 must stay
-        // in the fast bucket, p99 must reach the slow one.
-        for _ in 0..98 {
-            h.record(100);
-        }
-        h.record(100_000);
-        h.record(100_000);
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.percentile_us(0.50), 128);
-        assert_eq!(h.percentile_us(0.98), 128);
-        assert_eq!(h.percentile_us(0.99), 131_072);
-        assert_eq!(h.percentile_us(1.0), 131_072);
-    }
-
-    #[test]
     fn expired_deadline_is_answered_without_labeling() {
         // Already-expired at submission: resolved immediately, no queue
         // slot, no labeling — `requests` stays 0, `deadline_expired` counts.
@@ -1550,30 +1356,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_merge_is_bucket_exact() {
-        // stats() folds the per-worker shards with merge(); every bucket of
-        // the merged histogram must be the exact sum of the inputs.
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        for us in [0, 1, 2, 3, 100, 100, 1024, 1_000_000] {
-            a.record(us);
-        }
-        for us in [1, 2, 100, 65_536, u64::MAX] {
-            b.record(us);
-        }
-        let mut merged = a;
-        merged.merge(&b);
-        for i in 0..LATENCY_BUCKETS {
-            assert_eq!(merged.counts[i], a.counts[i] + b.counts[i], "bucket {i}");
-        }
-        assert_eq!(merged.total(), a.total() + b.total());
-        // merging an empty histogram is the identity
-        let mut unchanged = merged;
-        unchanged.merge(&LatencyHistogram::default());
-        assert_eq!(unchanged, merged);
-    }
-
-    #[test]
     fn stats_expose_queue_depth_and_batch_size_distribution() {
         // One worker and a long linger: submissions sit in the queue, so
         // the live depth gauge is observable before the drain.
@@ -1603,7 +1385,7 @@ mod tests {
         );
         // both requests shared one batch of 2 → bucket_index(2) = 1
         assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_size.counts[LatencyHistogram::bucket_index(2)], 1);
+        assert_eq!(stats.batch_size.counts[goggles_obs::bucket_index(2)], 1);
     }
 
     #[test]
@@ -1620,6 +1402,7 @@ mod tests {
         for family in [
             "goggles_requests_total",
             "goggles_stage_latency_us",
+            "goggles_request_latency_us",
             "goggles_snapshot_version",
             "goggles_snapshot_served_total",
             "goggles_snapshot_leases",
@@ -1642,7 +1425,7 @@ mod tests {
         assert_eq!(stages.embed.total(), stages.affinity.total());
         assert_eq!(stages.embed.total(), stages.endmodel.total());
         assert!(stages.embed.total() >= 1);
-        assert!(stages.embed.percentile_us(0.5) > 0);
+        assert!(stages.embed.quantile_upper(0.5) > 0);
     }
 
     #[test]
@@ -1670,6 +1453,83 @@ mod tests {
         );
         quiet.label(&img).unwrap();
         assert!(quiet.recent_traces().is_empty());
+    }
+
+    /// The value of the exposition line `series <value>` in `text`.
+    fn scraped(text: &str, series: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no series {series} in:\n{text}"))
+    }
+
+    #[test]
+    fn stats_and_metrics_agree_on_every_outcome() {
+        // One worker, a long linger and a shed watermark of 4: the first
+        // four submissions sit in the queue together, so the fifth is shed
+        // and the drain sees every doomed request at once.
+        let (labeler, ds) = fitted(32);
+        let service = LabelService::spawn(
+            labeler,
+            ServeConfig {
+                workers: 1,
+                max_batch: 8,
+                batch_timeout: Duration::from_millis(300),
+                shed_watermark: 4,
+                ..ServeConfig::default()
+            },
+        );
+        let good = ds.test_images()[0].clone();
+        // A 4-channel image panics the 3-channel backbone: poisoned batch.
+        let bad = goggles_vision::Image::filled(4, 32, 32, 0.5);
+        let mut nan = good.clone();
+        nan.tensor_mut().as_mut_slice()[0] = f32::NAN;
+
+        let ok = service.submit(good.clone()).unwrap();
+        let poisoned = service.submit(bad).unwrap();
+        drop(service.submit(good.clone()).unwrap()); // cancelled while queued
+        let soon = Instant::now() + Duration::from_millis(20);
+        let expires = service.submit_with_deadline(good.clone(), Some(soon)).unwrap();
+        assert!(matches!(service.submit(good.clone()), Err(ServeError::Overloaded)));
+        let past = Instant::now() - Duration::from_millis(5);
+        let expired = service.submit_with_deadline(good.clone(), Some(past)).unwrap();
+        assert!(matches!(expired.wait(), Err(ServeError::Deadline)));
+        assert!(matches!(service.submit(nan), Err(ServeError::InvalidImage(_))));
+
+        assert!(ok.wait().is_ok(), "salvaged from the poisoned batch");
+        assert!(matches!(poisoned.wait(), Err(ServeError::Closed)));
+        assert!(matches!(expires.wait(), Err(ServeError::Deadline)));
+        assert!(service.label(&good).is_ok());
+
+        let stats = service.stats();
+        let text = service.render_metrics();
+        let outcome =
+            |r: &str| scraped(&text, &format!("goggles_requests_total{{result=\"{r}\"}}"));
+        // Every outcome happened, and both views count it identically.
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.requests, outcome("ok"));
+        assert_eq!(stats.failed_requests, 1);
+        assert_eq!(stats.failed_requests, outcome("failed"));
+        assert_eq!(stats.deadline_expired, 2, "one at submit, one in the queue");
+        assert_eq!(stats.deadline_expired, outcome("deadline"));
+        assert_eq!(stats.cancelled, 1);
+        assert_eq!(stats.cancelled, outcome("cancelled"));
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.shed, outcome("shed"));
+        assert_eq!(stats.invalid, 1);
+        assert_eq!(stats.invalid, outcome("invalid"));
+        assert_eq!(stats.failed_batches, 1);
+        assert_eq!(stats.failed_batches, scraped(&text, "goggles_batches_failed_total"));
+        assert_eq!(stats.batches, scraped(&text, "goggles_batches_total"));
+        assert_eq!(stats.worker_restarts, scraped(&text, "goggles_worker_restarts_total"));
+        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(stats.queue_depth, scraped(&text, "goggles_queue_depth"));
+        assert_eq!(stats.latency.total(), stats.requests);
+        assert_eq!(stats.latency.total(), scraped(&text, "goggles_request_latency_us_count"));
+        assert_eq!(stats.latency.sum, scraped(&text, "goggles_request_latency_us_sum"));
+        assert_eq!(stats.batch_size.total(), stats.batches);
+        assert_eq!(stats.batch_size.total(), scraped(&text, "goggles_batch_size_count"));
+        assert_eq!(stats.batch_size.sum, stats.requests, "every answer rode in one batch");
+        assert_eq!(stats.batch_size.sum, scraped(&text, "goggles_batch_size_sum"));
     }
 
     #[test]

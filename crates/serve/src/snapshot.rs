@@ -336,29 +336,18 @@ impl FittedLabeler {
     /// through the stored models — no training-matrix rebuild, no refit.
     /// Returns class-aligned probabilistic labels (mapping applied).
     pub fn label_batch(&self, images: &[&Image], threads: usize) -> ProbabilisticLabels {
-        self.label_batch_with(&mut EmbedScratch::new(), images, threads)
+        self.label_batch_traced(&mut EmbedScratch::new(), images, threads).0
     }
 
     /// [`FittedLabeler::label_batch`] against a caller-owned
-    /// [`EmbedScratch`]: a long-lived worker (each [`crate::LabelService`]
-    /// thread holds one) reuses the backbone's im2col/GEMM/activation
-    /// arenas across requests, so steady-state labeling allocates nothing
-    /// on the embedding side beyond the per-image tap tensors. Output is
-    /// identical to [`FittedLabeler::label_batch`] for any scratch history.
-    pub(crate) fn label_batch_with(
-        &self,
-        scratch: &mut EmbedScratch,
-        images: &[&Image],
-        threads: usize,
-    ) -> ProbabilisticLabels {
-        self.label_batch_traced(scratch, images, threads).0
-    }
-
-    /// [`FittedLabeler::label_batch_with`] that additionally reports how
-    /// long each internal stage took. The labels are computed by exactly
-    /// the same calls in the same order — the only additions are three
-    /// clock reads around them — so the output is bit-identical to the
-    /// untraced path (the observability layer's core guarantee).
+    /// [`EmbedScratch`], also reporting how long each internal stage took.
+    /// A long-lived worker (each [`crate::LabelService`] thread holds one
+    /// scratch) reuses the backbone's im2col/GEMM/activation arenas across
+    /// requests, so steady-state labeling allocates nothing on the
+    /// embedding side beyond the per-image tap tensors. Timing adds only
+    /// three clock reads around the stage calls, so the labels are
+    /// bit-identical for any scratch history (the observability layer's
+    /// core guarantee).
     pub(crate) fn label_batch_traced(
         &self,
         scratch: &mut EmbedScratch,

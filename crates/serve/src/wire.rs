@@ -28,7 +28,7 @@
 
 use crate::codec::{fnv1a, Reader, Writer};
 use crate::fault;
-use crate::service::{LabelResponse, LatencyHistogram, ServiceStats};
+use crate::service::{LabelResponse, ServiceStats};
 use crate::{ServeError, ServeResult};
 use goggles_tensor::Tensor3;
 use goggles_vision::Image;
@@ -66,7 +66,7 @@ pub enum Opcode {
     ErrorReply = 3,
     /// Ask for the service counters → [`Opcode::StatsReply`].
     StatsRequest = 4,
-    /// Full [`ServiceStats`] (histogram included) + current version.
+    /// Full [`ServiceStats`] (histograms included) + current version.
     StatsReply = 5,
     /// Server-side snapshot path to hot-reload → [`Opcode::ReloadReply`].
     ReloadRequest = 6,
@@ -467,7 +467,7 @@ pub fn decode_error_reply(payload: &[u8]) -> ServeResult<ServeError> {
 }
 
 /// What [`Opcode::StatsReply`] carries: the server's full counter snapshot
-/// (histogram included, so the client can derive any percentile) plus the
+/// (histograms included, so the client can derive any percentile) plus the
 /// registry version currently serving.
 #[derive(Debug, Clone, Copy, PartialEq)]
 // goggles-lint: allow(dead-pub): return type of pub RemoteLabeler::stats; external callers reach it through inference
@@ -478,57 +478,64 @@ pub struct RemoteStats {
     pub version: u64,
 }
 
-/// Encode a [`RemoteStats`] for [`Opcode::StatsReply`].
+/// Encode a [`RemoteStats`] for [`Opcode::StatsReply`]. The payload is all
+/// little-endian `u64`s, in this order:
+///
+/// ```text
+/// version, requests, batches, failed_batches, failed_requests,
+/// deadline_expired, cancelled, shed, invalid, worker_restarts, queue_depth,
+/// latency:    32 bucket counts, sum
+/// batch_size: 32 bucket counts, sum
+/// ```
 pub(crate) fn encode_stats_reply(remote: &RemoteStats) -> Vec<u8> {
     let s = &remote.stats;
     let mut w = Writer::new();
-    w.put_u64(remote.version);
-    w.put_u64(s.requests);
-    w.put_u64(s.batches);
-    w.put_u64(s.images);
-    w.put_u64(s.total_latency_us);
-    w.put_u64(s.max_latency_us);
-    w.put_u64(s.failed_batches);
-    w.put_u64(s.failed_requests);
-    w.put_u64(s.deadline_expired);
-    w.put_u64(s.cancelled);
-    w.put_u64(s.shed);
-    w.put_u64(s.worker_restarts);
-    w.put_u64(s.queue_depth);
-    for &count in &s.latency.counts {
-        w.put_u64(count);
+    for v in [
+        remote.version,
+        s.requests,
+        s.batches,
+        s.failed_batches,
+        s.failed_requests,
+        s.deadline_expired,
+        s.cancelled,
+        s.shed,
+        s.invalid,
+        s.worker_restarts,
+        s.queue_depth,
+    ] {
+        w.put_u64(v);
     }
-    for &count in &s.batch_size.counts {
-        w.put_u64(count);
+    for h in [&s.latency, &s.batch_size] {
+        for &count in &h.counts {
+            w.put_u64(count);
+        }
+        w.put_u64(h.sum);
     }
     w.into_bytes()
 }
 
-/// Decode an [`Opcode::StatsReply`] payload.
+/// Decode an [`Opcode::StatsReply`] payload (layout on `encode_stats_reply`).
 pub fn decode_stats_reply(payload: &[u8]) -> ServeResult<RemoteStats> {
     let mut r = Reader::new(payload);
     let version = r.get_u64().map_err(wire_err)?;
     let mut stats = ServiceStats {
         requests: r.get_u64().map_err(wire_err)?,
         batches: r.get_u64().map_err(wire_err)?,
-        images: r.get_u64().map_err(wire_err)?,
-        total_latency_us: r.get_u64().map_err(wire_err)?,
-        max_latency_us: r.get_u64().map_err(wire_err)?,
         failed_batches: r.get_u64().map_err(wire_err)?,
         failed_requests: r.get_u64().map_err(wire_err)?,
         deadline_expired: r.get_u64().map_err(wire_err)?,
         cancelled: r.get_u64().map_err(wire_err)?,
         shed: r.get_u64().map_err(wire_err)?,
+        invalid: r.get_u64().map_err(wire_err)?,
         worker_restarts: r.get_u64().map_err(wire_err)?,
         queue_depth: r.get_u64().map_err(wire_err)?,
-        latency: LatencyHistogram::default(),
-        batch_size: LatencyHistogram::default(),
+        ..ServiceStats::default()
     };
-    for count in stats.latency.counts.iter_mut() {
-        *count = r.get_u64().map_err(wire_err)?;
-    }
-    for count in stats.batch_size.counts.iter_mut() {
-        *count = r.get_u64().map_err(wire_err)?;
+    for h in [&mut stats.latency, &mut stats.batch_size] {
+        for count in h.counts.iter_mut() {
+            *count = r.get_u64().map_err(wire_err)?;
+        }
+        h.sum = r.get_u64().map_err(wire_err)?;
     }
     if r.remaining() != 0 {
         return Err(ServeError::Wire("trailing bytes after stats reply".into()));
@@ -799,14 +806,34 @@ mod tests {
 
     #[test]
     fn stats_reply_round_trips_with_histogram() {
-        let mut stats = ServiceStats { requests: 10, batches: 3, images: 10, ..Default::default() };
-        stats.latency.record(100);
-        stats.latency.record(90_000);
+        let mut stats = ServiceStats {
+            requests: 10,
+            batches: 3,
+            failed_batches: 1,
+            failed_requests: 2,
+            deadline_expired: 3,
+            cancelled: 4,
+            shed: 5,
+            invalid: 6,
+            worker_restarts: 7,
+            queue_depth: 8,
+            ..Default::default()
+        };
+        stats.latency.counts[goggles_obs::bucket_index(100)] = 1;
+        stats.latency.counts[goggles_obs::bucket_index(90_000)] = 1;
+        stats.latency.sum = 90_100;
+        stats.batch_size.counts[goggles_obs::bucket_index(4)] = 3;
+        stats.batch_size.sum = 10;
         let remote = RemoteStats { stats, version: 4 };
-        let decoded = decode_stats_reply(&encode_stats_reply(&remote)).unwrap();
+        let payload = encode_stats_reply(&remote);
+        // 11 scalars, then 32 counts + the sum for each of the two histograms.
+        assert_eq!(payload.len(), 8 * (11 + 2 * (32 + 1)));
+        let decoded = decode_stats_reply(&payload).unwrap();
         assert_eq!(decoded, remote);
         assert_eq!(decoded.stats.latency.total(), 2);
-        let payload = encode_stats_reply(&remote);
+        assert_eq!(decoded.stats.mean_latency_us(), 45_050.0);
+        assert_eq!(decoded.stats.p99_latency_us(), 131_072);
+        assert_eq!(decoded.stats.batch_size.sum, 10);
         for cut in 0..payload.len() {
             assert!(decode_stats_reply(&payload[..cut]).is_err(), "cut {cut}");
         }

@@ -331,7 +331,7 @@ pub fn run(params: &RunParams) -> ServingReport {
     // stages). Percentiles are histogram bucket upper bounds, like the
     // end-to-end latency above.
     let stages = service.stage_stats();
-    let p = |h: &goggles_serve::LatencyHistogram, q: f64| h.percentile_us(q) as f64 / 1e3;
+    let p = |h: &goggles_serve::HistogramSnapshot, q: f64| h.quantile_upper(q) as f64 / 1e3;
     let stage_queue_p50_ms = p(&stages.queue_wait, 0.50);
     let stage_queue_p99_ms = p(&stages.queue_wait, 0.99);
     let stage_embed_p50_ms = p(&stages.embed, 0.50);
