@@ -6,23 +6,17 @@
 //! ```
 //!
 //! Accepted names: `table1`, `table2`, `fig2`, `fig5`, `fig7`, `fig8`,
-//! `fig9`, `serving`, `affinity`, `embed`, `fit`, `all`. Results print as
-//! text tables and are saved as CSV (plus `BENCH_serving.json` /
-//! `BENCH_affinity.json` / `BENCH_embed.json` / `BENCH_fit.json` for the
-//! performance runs) under `results/` (override with `GOGGLES_RESULTS_DIR`).
+//! `fig9`, `all`. Results print as text tables and are saved as CSV under
+//! `results/` (override with `GOGGLES_RESULTS_DIR`). Performance is
+//! measured by the `perfbench` harness at the repo root, not here.
 
-use goggles::experiments::{
-    affinity_bench, embed_bench, figures, fit_bench, serving, table1, table2, Scale, TrialContext,
-};
+use goggles::experiments::{figures, table1, table2, Scale, TrialContext};
 use goggles_bench::{emit, timed};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
-    let known = [
-        "table1", "table2", "fig2", "fig5", "fig7", "fig8", "fig9", "serving", "affinity", "embed",
-        "fit", "all",
-    ];
+    let known = ["table1", "table2", "fig2", "fig5", "fig7", "fig8", "fig9", "all"];
     if !known.contains(&what) {
         eprintln!("unknown experiment {what:?}; expected one of {known:?}");
         std::process::exit(2);
@@ -43,42 +37,6 @@ fn main() {
     }
     if run("fig7") {
         emit(&figures::figure7(&[0.7, 0.8, 0.9], 25), "figure7");
-    }
-    if run("serving") {
-        let report = timed("Serving", || serving::run(&params));
-        println!("{}", report.to_table().render());
-        let path = goggles::experiments::report::results_dir().join("BENCH_serving.json");
-        match report.write_json(&path) {
-            Ok(()) => println!("[saved {}]\n", path.display()),
-            Err(e) => eprintln!("[warn: could not write {}: {e}]\n", path.display()),
-        }
-    }
-    if run("affinity") {
-        let report = timed("Affinity kernel", || affinity_bench::run(&params));
-        println!("{}", report.to_table().render());
-        let path = goggles::experiments::report::results_dir().join("BENCH_affinity.json");
-        match report.write_json(&path) {
-            Ok(()) => println!("[saved {}]\n", path.display()),
-            Err(e) => eprintln!("[warn: could not write {}: {e}]\n", path.display()),
-        }
-    }
-    if run("embed") {
-        let report = timed("Embedding backbone", || embed_bench::run(&params));
-        println!("{}", report.to_table().render());
-        let path = goggles::experiments::report::results_dir().join("BENCH_embed.json");
-        match report.write_json(&path) {
-            Ok(()) => println!("[saved {}]\n", path.display()),
-            Err(e) => eprintln!("[warn: could not write {}: {e}]\n", path.display()),
-        }
-    }
-    if run("fit") {
-        let report = timed("Continuous-learning fit", || fit_bench::run(&params));
-        println!("{}", report.to_table().render());
-        let path = goggles::experiments::report::results_dir().join("BENCH_fit.json");
-        match report.write_json(&path) {
-            Ok(()) => println!("[saved {}]\n", path.display()),
-            Err(e) => eprintln!("[warn: could not write {}: {e}]\n", path.display()),
-        }
     }
     // The data-driven figures share one CUB context.
     if run("fig2") || run("fig5") || run("fig8") || run("fig9") {

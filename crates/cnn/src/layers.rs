@@ -217,7 +217,7 @@ impl Conv2d {
 
     /// Scalar reference forward pass — the original 6-deep loop nest with
     /// per-pixel bounds checks, kept as the semantic ground truth for the
-    /// property tests and the `repro -- embed` baseline. Same contract as
+    /// property tests and the embedding speedup bar. Same contract as
     /// [`Conv2d::forward`]; the two agree within `1e-5` (they group the
     /// per-output additions differently).
     pub fn forward_naive(&self, input: &Tensor3<f32>) -> Tensor3<f32> {

@@ -276,8 +276,8 @@ impl Vgg16 {
     /// Scalar reference trunk — the original per-pixel convolution loop
     /// ([`Conv2d::forward_naive`]) with per-layer tensor allocation. Kept
     /// as the semantic ground truth for the property tests and the
-    /// `repro -- embed` baseline; agrees with the fast path within `1e-5`
-    /// per tap value.
+    /// embedding speedup bar (`goggles-core`'s `speedup_bars` test); agrees
+    /// with the fast path within `1e-5` per tap value.
     pub fn forward_pool_taps_naive(&self, img: &Image) -> Vec<Tensor3<f32>> {
         let mut x = self.prepare_input(img);
         let mut taps = Vec::with_capacity(5);

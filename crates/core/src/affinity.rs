@@ -246,8 +246,8 @@ impl PrototypeBank {
     /// The pre-blocking scalar reference path: the same `m × αN` rows via
     /// plain per-prototype dot-product loops on one thread, allocating its
     /// maxima buffer per row like the original hot path did. Retained so
-    /// tests can cross-check the blocked kernel end-to-end and
-    /// `repro -- affinity` can measure the speedup against it.
+    /// tests can cross-check the blocked kernel end-to-end and the
+    /// `speedup_bars` test can hold it to its 2× single-row bar.
     pub fn affinity_rows_reference(&self, queries: &[ImageEmbedding]) -> Matrix<f64> {
         let m = queries.len();
         let row_len = self.alpha() * self.n;

@@ -161,7 +161,7 @@ pub fn embed_image_with(
 /// Algorithm 1 lines 2–4 without the backbone pass: build the per-layer
 /// patch tables and top-`z` prototypes from already-computed pool taps.
 /// Exposed so alternative backbone paths (e.g. the retained naive
-/// reference the `repro -- embed` baseline drives) share the exact same
+/// reference the `speedup_bars` test times) share the exact same
 /// extraction code.
 pub fn embed_from_taps(taps: &[Tensor3<f32>], z: usize, center_patches: bool) -> ImageEmbedding {
     let layers = taps

@@ -114,7 +114,8 @@ pub fn set_json(json: bool) {
     JSON.store(json, Ordering::Relaxed);
 }
 
-pub fn json() -> bool {
+/// Whether events are currently emitted as JSONL.
+fn json() -> bool {
     JSON.load(Ordering::Relaxed)
 }
 

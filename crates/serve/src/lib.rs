@@ -76,7 +76,7 @@ pub use fault::FaultPlan;
 pub use goggles_obs::HistogramSnapshot;
 pub use registry::{PublishedSnapshot, SnapshotRegistry, VersionInfo};
 pub use server::{IngestSink, ServerOptions, WireServer};
-pub use service::{LabelResponse, LabelService, ServeConfig, ServiceStats, StageStats};
+pub use service::{LabelResponse, LabelService, ServeConfig, ServiceStats};
 pub use snapshot::{
     sweep_snapshot_dir, FittedLabeler, SnapshotFormat, StageTiming, SweepReport, TrainingBootstrap,
 };

@@ -9,9 +9,8 @@
 //! inference serving. Every outcome, queue depth and latency is recorded
 //! once, into the service's [`goggles_obs::Registry`]: that registry is
 //! the only bookkeeping. [`LabelService::render_metrics`] exports it as
-//! Prometheus text, and [`LabelService::stats`] /
-//! [`LabelService::stage_stats`] read the same handles, so the two views
-//! cannot disagree.
+//! Prometheus text, and [`LabelService::stats`] reads the same handles,
+//! so the two views cannot disagree.
 //!
 //! Submission is **ticket-based** ([`LabelService::submit`] →
 //! [`Ticket`]): the caller gets a handle it can `poll`, `wait`, or
@@ -226,25 +225,6 @@ impl ServiceStats {
     pub fn p99_latency_us(&self) -> u64 {
         self.latency.quantile_upper(0.99)
     }
-}
-
-/// Per-stage latency distributions of the serving path, captured from the
-/// observability registry by [`LabelService::stage_stats`]. Embed,
-/// affinity and endmodel are **whole-batch** durations (one observation per
-/// batch); queue wait is per-request; batch assembly is per-drain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// goggles-lint: allow(dead-pub): field type of the pub ServiceStats; reached through inference
-pub struct StageStats {
-    /// Time requests sat queued before being drained into a batch.
-    pub queue_wait: HistogramSnapshot,
-    /// Linger + drain time spent assembling each batch.
-    pub batch_assembly: HistogramSnapshot,
-    /// Backbone forward (im2col/GEMM trunk), per batch.
-    pub embed: HistogramSnapshot,
-    /// Affinity rows against the prototype bank (colmax), per batch.
-    pub affinity: HistogramSnapshot,
-    /// Base-GMM posteriors + ensemble fold-in + mapping, per batch.
-    pub endmodel: HistogramSnapshot,
 }
 
 struct Request {
@@ -580,20 +560,6 @@ impl LabelService {
             queue_depth: u64::try_from(m.queue_depth.get()).unwrap_or(0),
             latency: m.request_latency.snapshot(),
             batch_size: m.batch_size.snapshot(),
-        }
-    }
-
-    /// Per-stage latency distributions of the serving path (whole-batch
-    /// durations for embed/affinity/endmodel, per-request for queue wait,
-    /// per-drain for batch assembly), read from the observability registry.
-    pub fn stage_stats(&self) -> StageStats {
-        let m = &self.shared.metrics;
-        StageStats {
-            queue_wait: m.stage_queue_wait.snapshot(),
-            batch_assembly: m.stage_batch_assembly.snapshot(),
-            embed: m.stage_embed.snapshot(),
-            affinity: m.stage_affinity.snapshot(),
-            endmodel: m.stage_endmodel.snapshot(),
         }
     }
 
@@ -1389,7 +1355,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_render_exposes_families_and_stage_stats() {
+    fn metrics_render_exposes_families_and_stage_histograms() {
         let (labeler, ds) = fitted(27);
         let service = LabelService::spawn(
             labeler,
@@ -1420,12 +1386,13 @@ mod tests {
         );
         assert!(text.contains("goggles_snapshot_version 1"));
         // the per-stage histograms saw every batch
-        let stages = service.stage_stats();
-        assert_eq!(stages.queue_wait.total(), 3, "one queue_wait sample per request");
-        assert_eq!(stages.embed.total(), stages.affinity.total());
-        assert_eq!(stages.embed.total(), stages.endmodel.total());
-        assert!(stages.embed.total() >= 1);
-        assert!(stages.embed.quantile_upper(0.5) > 0);
+        let m = &service.shared.metrics;
+        let embed = m.stage_embed.snapshot();
+        assert_eq!(m.stage_queue_wait.snapshot().total(), 3, "one queue_wait sample per request");
+        assert_eq!(embed.total(), m.stage_affinity.snapshot().total());
+        assert_eq!(embed.total(), m.stage_endmodel.snapshot().total());
+        assert!(embed.total() >= 1);
+        assert!(embed.quantile_upper(0.5) > 0);
     }
 
     #[test]

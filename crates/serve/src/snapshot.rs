@@ -53,7 +53,8 @@ pub enum SnapshotFormat {
     /// squeezed to `u16` codes on a fixed `[-1, 1]` grid (prototype rows
     /// are L2-normalized, so the grid loses < 1.6e-5 per component).
     /// Lossy, but bounded: argmax labels are preserved and per-class
-    /// probabilities move by far less than 1e-3 (see the serving bench).
+    /// probabilities move by far less than 1e-3 (asserted by the
+    /// `v2_is_compact_lossy_bounded_and_argmax_preserving` test).
     V2 {
         /// Quantize the prototype bank to u16 grid codes (halves the bank
         /// again on top of the f32 narrowing).

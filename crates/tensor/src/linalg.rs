@@ -583,8 +583,8 @@ pub fn im2col_3x3(input: &[f32], channels: usize, height: usize, width: usize, o
 /// Reference scalar implementation of [`colmax_matmul_f32`]: plain
 /// sequential dot products, one running maximum per output — the shape of
 /// the pre-blocking affinity hot path. Kept (and exported) so property
-/// tests can cross-check the blocked kernel and `repro -- affinity` can
-/// measure the speedup against the original semantics.
+/// tests can cross-check the blocked kernel against the original
+/// semantics.
 pub fn colmax_matmul_naive_f32(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
     assert!(cols > 0, "colmax_matmul_naive_f32: cols must be ≥ 1");
     assert_eq!(a.len() % cols, 0, "colmax_matmul_naive_f32: a.len() not a multiple of cols");

@@ -11,22 +11,18 @@
 //! | Figure 7 (dev-set size theory) | [`figures::figure7`] |
 //! | Figure 8 (accuracy vs dev size) | [`figures::figure8`] |
 //! | Figure 9 (accuracy vs #functions) | [`figures::figure9`] |
-//! | Serving latency/throughput (not in the paper) | [`serving::run`] |
-//! | Affinity kernel: blocked vs scalar (not in the paper) | [`affinity_bench::run`] |
-//! | Embedding: im2col+GEMM trunk vs scalar (not in the paper) | [`embed_bench::run`] |
-//! | Continuous learning: incremental vs full refit (not in the paper) | [`fit_bench::run`] |
+//!
+//! Performance is not measured here: the `perfbench` harness at the repo
+//! root times serving, embedding, affinity and the retrain loop, layer by
+//! layer, on the same code paths.
 //!
 //! Every run is deterministic given the [`Scale`]; `Scale::from_env()`
 //! honours `GOGGLES_SCALE=quick|standard|paper` so CI and laptops can dial
 //! the cost.
 
-pub mod affinity_bench;
-pub mod embed_bench;
 pub mod figures;
-pub mod fit_bench;
 pub mod methods;
 pub mod report;
-pub mod serving;
 pub mod table1;
 pub mod table2;
 
