@@ -81,10 +81,10 @@ pub struct PrototypeBank {
     pub n: usize,
     /// Prototypes per layer (`Z`).
     pub z_per_layer: usize,
-    /// Transposed prototype panels (one per layer), built once at
-    /// construction and reused by every affinity request: the kernel's tall
-    /// path reads prototypes column-major, and caching the transpose here
-    /// keeps the per-request hot path transpose- and allocation-free.
+    /// Packed prototype panels (one per layer), built once at construction
+    /// and reused by every affinity request: the kernel's tall path reads
+    /// prototypes in 16-wide channel-major blocks, and caching that layout
+    /// here keeps the per-request hot path packing- and allocation-free.
     panels: Vec<goggles_tensor::ColmaxPanel>,
 }
 
@@ -415,7 +415,7 @@ struct RowScratch {
     best: Vec<f32>,
 }
 
-/// One [`goggles_tensor::ColmaxPanel`] per stacked layer — the transposed
+/// One [`goggles_tensor::ColmaxPanel`] per stacked layer — the packed
 /// prototype cache every affinity request reuses.
 fn build_panels(stacked: &[Matrix<f32>]) -> Vec<goggles_tensor::ColmaxPanel> {
     stacked.iter().map(|p| goggles_tensor::ColmaxPanel::new(p.as_slice(), p.cols())).collect()
@@ -425,7 +425,7 @@ fn build_panels(stacked: &[Matrix<f32>]) -> Vec<goggles_tensor::ColmaxPanel> {
 /// fused matmul + column-max kernel over the image's patch table and the
 /// stacked prototype table (Equation 2 vectorized over all (j, z) pairs at
 /// once), then scatter the maxima into the paper's `f·N + j` column layout.
-/// The kernel's tall path reads the bank's cached transposed panel, so the
+/// The kernel's tall path reads the bank's cached packed panel, so the
 /// per-request work is pure streaming arithmetic.
 fn fill_row(
     row: &mut [f64],

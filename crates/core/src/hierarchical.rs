@@ -17,6 +17,7 @@ use crate::affinity::AffinityMatrix;
 use crate::Result;
 use goggles_models::{BernoulliMixture, DiagonalGmm, EmOptions};
 use goggles_tensor::Matrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for the hierarchical model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -319,25 +320,10 @@ fn fit_base_models(
         )));
     }
     let k = opts.num_classes;
-    let threads = opts.threads.max(1).min(alpha);
-    let mut results: Vec<Option<Result<DiagonalGmm>>> = Vec::new();
-    results.resize_with(alpha, || None);
-    let chunk = alpha.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in results.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            scope.spawn(move || {
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let f = start + off;
-                    let block = affinity.function_block(f);
-                    let fit =
-                        DiagonalGmm::fit(&block, k, &opts.em, opts.seed ^ (0xBA5E_0000 + f as u64));
-                    *slot = Some(fit.map_err(Into::into));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("worker filled slot")).collect()
+    fit_each_function(alpha, opts.threads, |f| {
+        let block = affinity.function_block(f);
+        DiagonalGmm::fit(&block, k, &opts.em, opts.seed ^ (0xBA5E_0000 + f as u64))
+    })
 }
 
 /// Warm-start one diagonal GMM per affinity-function block from the
@@ -349,32 +335,54 @@ fn refit_base_models_warm(
     prev: &HierarchicalModel,
     opts: &HierarchicalOptions,
 ) -> Result<Vec<DiagonalGmm>> {
-    let alpha = affinity.alpha;
-    let threads = opts.threads.max(1).min(alpha);
+    fit_each_function(affinity.alpha, opts.threads, |f| {
+        let block = affinity.function_block(f);
+        let seed_model = &prev.base_models[f];
+        DiagonalGmm::fit_from(
+            &block,
+            &seed_model.weights,
+            &seed_model.means,
+            &seed_model.variances,
+            &opts.em,
+        )
+    })
+}
+
+/// Run `fit(f)` for every affinity function `f < alpha` on up to `threads`
+/// workers. Workers claim the next unfitted function from a shared counter
+/// instead of owning a fixed chunk: the deep-layer functions run several
+/// times more EM iterations than the shallow ones and sit together at the
+/// end of the index range, so a static split leaves one worker with most of
+/// the work. Each fit depends only on `f`, and its result lands in slot `f`,
+/// so the output is the same for every thread count and claiming order.
+fn fit_each_function(
+    alpha: usize,
+    threads: usize,
+    fit: impl Fn(usize) -> goggles_models::Result<DiagonalGmm> + Sync,
+) -> Result<Vec<DiagonalGmm>> {
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let f = next.fetch_add(1, Ordering::Relaxed);
+            if f >= alpha {
+                return done;
+            }
+            done.push((f, fit(f).map_err(Into::into)));
+        }
+    };
     let mut results: Vec<Option<Result<DiagonalGmm>>> = Vec::new();
     results.resize_with(alpha, || None);
-    let chunk = alpha.div_ceil(threads);
     std::thread::scope(|scope| {
-        for (t, out_chunk) in results.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            scope.spawn(move || {
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let f = start + off;
-                    let block = affinity.function_block(f);
-                    let seed_model = &prev.base_models[f];
-                    let fit = DiagonalGmm::fit_from(
-                        &block,
-                        &seed_model.weights,
-                        &seed_model.means,
-                        &seed_model.variances,
-                        &opts.em,
-                    );
-                    *slot = Some(fit.map_err(Into::into));
-                }
-            });
+        let workers: Vec<_> = (0..threads.max(1).min(alpha)).map(|_| scope.spawn(claim)).collect();
+        for worker in workers {
+            let done = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (f, fit) in done {
+                results[f] = Some(fit);
+            }
         }
     });
-    results.into_iter().map(|r| r.expect("worker filled slot")).collect()
+    results.into_iter().map(|r| r.expect("every function was claimed")).collect()
 }
 
 /// Concatenate α label-prediction matrices into the ensemble input
@@ -574,6 +582,28 @@ mod tests {
             );
             for (a, b) in again.base_models.iter().zip(&warm.base_models) {
                 assert_eq!(a.means.as_slice(), b.means.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn cold_fit_ignores_thread_count() {
+        // Workers claim functions in whatever order they finish, but each
+        // result lands in its own slot: no thread count changes a bit.
+        let (am, _) = synthetic_affinity(15, 2, 3, 0.3, 14);
+        let reference = HierarchicalModel::fit(&am, &opts(12)).unwrap();
+        for threads in [1usize, 2, 7, 64] {
+            let o = HierarchicalOptions { threads, ..opts(12) };
+            let again = HierarchicalModel::fit(&am, &o).unwrap();
+            assert_eq!(again.log_likelihood, reference.log_likelihood, "threads = {threads}");
+            assert_eq!(
+                again.responsibilities.as_slice(),
+                reference.responsibilities.as_slice(),
+                "threads = {threads}"
+            );
+            for (a, b) in again.base_models.iter().zip(&reference.base_models) {
+                assert_eq!(a.means.as_slice(), b.means.as_slice(), "threads = {threads}");
+                assert_eq!(a.variances.as_slice(), b.variances.as_slice(), "threads = {threads}");
             }
         }
     }

@@ -45,6 +45,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::codec::fnv1a;
+
 /// What a triggered failpoint does to its call site.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FaultKind {
@@ -146,17 +148,6 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a, used to fold a site name into the per-rule RNG seed so distinct
-/// sites draw independent (but reproducible) probability sequences.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct ActiveRule {
     site: String,
     kind: FaultKind,
@@ -176,7 +167,9 @@ fn injector() -> &'static Mutex<Option<Vec<ActiveRule>>> {
 }
 
 /// Install a fault plan process-wide, replacing any previous one. Hit
-/// counters and RNG streams start fresh.
+/// counters and RNG streams start fresh. Each rule's RNG seed folds in the
+/// FNV-1a of its site name, so distinct sites draw independent (but
+/// reproducible) probability sequences.
 pub fn install(plan: &FaultPlan) {
     let rules = plan
         .rules

@@ -40,46 +40,34 @@ pub fn gemm_flop_count() -> u64 {
     GEMM_FLOPS.load(Ordering::Relaxed)
 }
 
-/// Prototype rows held as running maxima per register tile of the wide
-/// colmax path.
-const COLMAX_TILE: usize = 8;
-
-/// Independent accumulator lanes of the unrolled dot product inside the
-/// wide colmax path. Eight f32 lanes map onto one AVX register (or two
-/// NEON registers); the per-lane sums are combined in a fixed tree so the
+/// Independent accumulator lanes of each dot product on the wide colmax
+/// path. Eight f32 lanes map onto one AVX register (or two SSE registers);
+/// the per-lane sums are combined in a fixed tree (`reduce_lanes`), so the
 /// result is deterministic.
 const DOT_LANES: usize = 8;
+
+/// Patches per register tile of the wide colmax path.
+const WIDE_MR: usize = 2;
+
+/// Prototypes per register tile of the wide colmax path. `WIDE_MR ×
+/// WIDE_NR` dot products of `DOT_LANES` lanes each are 64 f32
+/// accumulators: eight 256-bit registers under AVX2, with room left for
+/// the six operand loads of a step.
+const WIDE_NR: usize = 4;
 
 /// Patches per register tile of the tall colmax path.
 const TALL_MR: usize = 4;
 
-/// Prototype columns per register tile of the tall colmax path: one
-/// 256-bit register of f32 under AVX2, two 128-bit ones on the SSE2
-/// baseline. `TALL_MR × TALL_NR` accumulators plus one prototype row and
-/// one broadcast weight fit the 16 vector registers of either ISA; wider
-/// tiles spill.
-const TALL_NR: usize = 8;
+/// Prototypes per block of the packed [`ColmaxPanel`], and columns per
+/// register tile of the AVX2 tall path: `TALL_MR × TALL_NB` accumulators
+/// are eight 256-bit registers, which leaves room for the two prototype
+/// loads and the broadcast weight of a channel step.
+const TALL_NB: usize = 16;
 
-/// Multi-lane dot product: `DOT_LANES` independent partial sums over the
-/// bulk (which the compiler vectorizes — no float reassociation is needed
-/// beyond the explicit lane split), a scalar tail, and a fixed reduction
-/// tree. Both inputs must have equal length.
-#[inline(always)]
-fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let bulk = x.len() - x.len() % DOT_LANES;
-    let mut acc = [0.0f32; DOT_LANES];
-    for (xc, yc) in x[..bulk].chunks_exact(DOT_LANES).zip(y[..bulk].chunks_exact(DOT_LANES)) {
-        for l in 0..DOT_LANES {
-            acc[l] += xc[l] * yc[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (&xv, &yv) in x[bulk..].iter().zip(&y[bulk..]) {
-        tail += xv * yv;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
+/// Columns per register tile of the portable tall path: half a panel
+/// block, so `TALL_MR × TALL_NR` accumulators are eight 128-bit registers
+/// of the SSE2 baseline. A portable 4×16 tile would spill.
+const TALL_NR: usize = 8;
 
 /// Reusable workspace of [`colmax_matmul_panel_f32`]: the patch panel
 /// re-packed tile-major for the tall path. Keep one per thread and it grows
@@ -118,28 +106,30 @@ pub fn colmax_matmul_f32(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
     colmax_matmul_panel_f32(&mut ColmaxScratch::default(), a, b, &panel, 0, out);
 }
 
-/// A prototype table transposed once and cached **across requests**: the
-/// column-major (`cols × stride`) copy of a row-major `rows × cols` table.
+/// A prototype table packed once and cached **across requests**, in the
+/// block-major layout the tall path of [`colmax_matmul_panel_f32`] reads.
 ///
-/// The prototype table of a frozen bank never changes between requests, so
-/// the layout the tall kernel wants is built at construction:
-/// [`colmax_matmul_panel_f32`] reads `TALL_NR` adjacent prototypes of one
-/// channel as one contiguous vector, and the per-request hot path neither
-/// transposes nor allocates. Each channel row carries `TALL_NR − 1` zero
-/// columns past `rows`, so a register tile starting at any prototype reads
-/// inside the table; the kernel discards their results.
+/// The table is cut into blocks of `TALL_NB` (16) consecutive prototypes.
+/// Each block is stored as `cols × 16` contiguous floats, channel-major:
+/// one channel of all 16 prototypes is one 64-byte row, so a register tile
+/// reads every channel step as one contiguous load, and the panel is walked
+/// strictly forward. The last block is zero-padded past `rows`; the kernel
+/// discards those outputs. The prototype table of a frozen bank never
+/// changes between requests, so the per-request hot path neither packs nor
+/// allocates on the prototype side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColmaxPanel {
-    /// `cols × stride` transpose: `b_t[c · stride + j] = b[j · cols + c]`,
-    /// zero for `j ≥ rows`.
-    b_t: Vec<f32>,
+    /// `ceil(rows / 16)` blocks of `cols × 16`:
+    /// `packed[(j / 16)·cols·16 + c·16 + j % 16] = b[j·cols + c]`, zero for
+    /// `j ≥ rows`.
+    packed: Vec<f32>,
     rows: usize,
     cols: usize,
 }
 
 impl ColmaxPanel {
-    /// Transpose a row-major `b` (`rows × cols`, with `rows` inferred from
-    /// the slice length) into the cached column-major layout.
+    /// Pack a row-major `b` (`rows × cols`, with `rows` inferred from the
+    /// slice length) into the cached block-major layout.
     ///
     /// # Panics
     /// Panics if `cols == 0` or `b.len()` is not a multiple of `cols`.
@@ -147,14 +137,16 @@ impl ColmaxPanel {
         assert!(cols > 0, "ColmaxPanel::new: cols must be ≥ 1");
         assert_eq!(b.len() % cols, 0, "ColmaxPanel::new: b.len() not a multiple of cols");
         let rows = b.len() / cols;
-        let stride = rows + TALL_NR - 1;
-        let mut b_t = vec![0.0f32; cols * stride];
-        for (j, b_row) in b.chunks_exact(cols).enumerate() {
-            for (c, &v) in b_row.iter().enumerate() {
-                b_t[c * stride + j] = v;
+        let mut packed = vec![0.0f32; rows.div_ceil(TALL_NB) * cols * TALL_NB];
+        for (block, protos) in packed.chunks_exact_mut(cols * TALL_NB).zip(b.chunks(cols * TALL_NB))
+        {
+            for (jj, row) in protos.chunks_exact(cols).enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    block[c * TALL_NB + jj] = v;
+                }
             }
         }
-        Self { b_t, rows, cols }
+        Self { packed, rows, cols }
     }
 
     /// Prototype rows in the cached table.
@@ -166,15 +158,10 @@ impl ColmaxPanel {
     pub fn cols(&self) -> usize {
         self.cols
     }
-
-    /// Distance between consecutive channels in `b_t`.
-    fn stride(&self) -> usize {
-        self.rows + TALL_NR - 1
-    }
 }
 
 /// Fused matmul + column max over rows `[lo, lo + out.len())` of a
-/// prototype table whose transpose is cached in `panel`:
+/// prototype table packed in `panel`:
 /// `out[jj] = max_i Σ_c a[i·cols + c] · b[(lo + jj)·cols + c]` — Equation 2
 /// of the paper vectorized over all prototypes at once, the affinity hot
 /// path. `b` is the same row-major table the panel was built from. When
@@ -183,20 +170,32 @@ impl ColmaxPanel {
 /// Two code paths, picked by panel shape:
 ///
 /// * **Tall panels** (`m ≥ 2·cols`, the shallow backbone layers: hundreds
-///   of patches, few channels): a register-tiled micro-kernel. A
-///   `TALL_MR × TALL_NR` (patch × prototype) accumulator tile stays in
-///   registers across the channel loop, and its maxima fold straight into
-///   `TALL_NR` running maxima that stay in registers across all patches.
-///   Each sum runs `c` ascending from the first product (not from `0.0`),
-///   and patches are visited in ascending order. On x86-64 CPUs with AVX2
-///   the same code runs in an AVX2-compiled copy, picked at run time; it
-///   contracts no multiply-add, so its output is bit-identical to the
-///   portable copy's.
+///   of patches, few channels): a register-tiled micro-kernel over the
+///   panel's 16-prototype blocks. A `TALL_MR × 16` (patch × prototype)
+///   accumulator tile stays in registers across the channel loop, which
+///   walks the packed patches and the block in lockstep as fixed-size
+///   arrays, so nothing in it is bounds-checked. The tile's four patch sums
+///   per prototype are reduced by a tree max and folded into 16 running
+///   maxima that stay in registers across all patches. Each sum runs `c`
+///   ascending from the first product (not from `0.0`). A request whose
+///   rows do not start or end on a block boundary computes the covering
+///   blocks and stores only the requested outputs.
 /// * **Wide panels** (the deep layers: few patches, hundreds of channels):
-///   `b`'s rows are register-tiled — `COLMAX_TILE` running maxima in a
-///   stack array — while the patch panel streams through the tile, each
-///   dot product running on `DOT_LANES` independent accumulator lanes
-///   (see `dot_lanes`). This path stays portable: AVX2 made it slower.
+///   a register tile of `WIDE_MR` patches × `WIDE_NR` prototypes keeps
+///   eight independent dot products in flight, each on `DOT_LANES`
+///   accumulator lanes, read straight from the row-major `a` and `b`.
+///
+/// **ISA dispatch.** Both paths are compiled twice: portable, and on x86-64
+/// CPUs with AVX2 an AVX2-compiled copy picked at run time (the tall copy
+/// runs the whole 4×16 tile; the portable one runs it as two 4×8 halves).
+/// Neither contracts a multiply-add, and tile shape does not change any
+/// output's summation order, so the copies are bit-identical.
+///
+/// **Bit-exact maxima.** Patches reach each running maximum in ascending
+/// order, and a later patch replaces it only when strictly greater: ties
+/// (such as `+0.0` against `-0.0`) keep the earlier patch, and a NaN sum
+/// never replaces it. The tall path's tree max keeps that rule, so every
+/// output equals the sequential fold over patches bit for bit.
 ///
 /// Deterministic and shard-stable: `out[jj]` depends only on prototype
 /// `lo + jj` and on `a` (never on tile alignment), so computing a sub-range
@@ -238,10 +237,25 @@ pub fn colmax_matmul_panel_f32(
     if a.is_empty() || out.is_empty() {
         return;
     }
-    if a.len() / cols >= 2 * cols {
-        colmax_tall(pack_patches(&mut scratch.a_pack, a, cols), panel, lo, out);
+    let b = &b[lo * cols..(lo + out.len()) * cols];
+    let tall = a.len() / cols >= 2 * cols;
+    let a_pack: &[f32] = if tall { pack_patches(&mut scratch.a_pack, a, cols) } else { &[] };
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, the only feature the
+        // callees are compiled for; it was detected on the line above.
+        return unsafe {
+            if tall {
+                colmax_tall_avx2(a_pack, panel, lo, out);
+            } else {
+                colmax_wide_avx2(a, b, cols, out);
+            }
+        };
+    }
+    if tall {
+        colmax_tall_portable(a_pack, panel, lo, out);
     } else {
-        colmax_wide(a, &b[lo * cols..(lo + out.len()) * cols], cols, out);
+        colmax_wide_body(a, b, cols, out);
     }
 }
 
@@ -267,21 +281,18 @@ fn pack_patches<'p>(pack: &'p mut Vec<f32>, a: &[f32], cols: usize) -> &'p [f32]
     pack
 }
 
-/// Tall path over a packed patch panel: the AVX2 copy where the CPU has
-/// it, the portable copy otherwise.
-fn colmax_tall(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, the only feature the
-        // callee is compiled for; it was detected on the line above.
-        return unsafe { colmax_tall_avx2(a_pack, panel, lo, out) };
-    }
-    colmax_tall_body(a_pack, panel, lo, out);
+/// Tall path, portable copy: each panel block runs as two 4×8 halves.
+fn colmax_tall_portable(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    colmax_tall_body(a_pack, panel, lo, out, |tiles, block| {
+        let left = block_half_max::<TALL_NR, 0>(tiles, block);
+        let right = block_half_max::<TALL_NR, TALL_NR>(tiles, block);
+        std::array::from_fn(|j| if j < TALL_NR { left[j] } else { right[j - TALL_NR] })
+    });
 }
 
-/// [`colmax_tall_body`] compiled with AVX2 enabled: each accumulator row of
-/// the tile becomes one 256-bit register. FMA stays off, so every multiply
-/// and add rounds exactly as in the portable copy.
+/// Tall path compiled with AVX2 enabled: each panel block runs as one 4×16
+/// tile, every accumulator row two 256-bit registers. FMA stays off, so
+/// every multiply and add rounds exactly as in the portable copy.
 ///
 /// # Safety
 /// The running CPU must support AVX2.
@@ -290,66 +301,211 @@ fn colmax_tall(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) 
 // SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
 // is safe code.
 unsafe fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
-    colmax_tall_body(a_pack, panel, lo, out);
+    colmax_tall_body(a_pack, panel, lo, out, block_half_max::<TALL_NB, 0>);
 }
 
-/// Register-tiled tall kernel, inlined into each ISA's copy (called
-/// directly, it is the portable copy): for each block of `TALL_NR`
-/// prototypes, walk every `TALL_MR`-patch tile of the packed panel, sum the
-/// tile's dot products over the channels in registers, and fold them into
-/// the block's running maxima in patch order. The last block may reach into
-/// the panel's zero columns; only its first `out` entries are stored.
+/// Tall path over a packed patch panel, inlined into each ISA's copy: for
+/// each panel block that overlaps rows `[lo, lo + out.len())`, take the 16
+/// maxima from `block_max` and store the requested ones. `block_max` gets
+/// the packed patches as `[c][mr]` arrays (tile after tile) and the block as
+/// `[c][jj]` arrays.
 #[inline(always)]
-fn colmax_tall_body(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+fn colmax_tall_body(
+    a_pack: &[f32],
+    panel: &ColmaxPanel,
+    lo: usize,
+    out: &mut [f32],
+    block_max: impl Fn(&[[f32; TALL_MR]], &[[f32; TALL_NB]]) -> [f32; TALL_NB],
+) {
     let cols = panel.cols;
-    let stride = panel.stride();
-    for (jb, out_blk) in out.chunks_mut(TALL_NR).enumerate() {
-        let b_blk = &panel.b_t[lo + jb * TALL_NR..];
-        let mut best = [f32::NEG_INFINITY; TALL_NR];
-        for tile in a_pack.chunks_exact(TALL_MR * cols) {
-            let mut acc = [[0.0f32; TALL_NR]; TALL_MR];
-            let (w0, b0) = (&tile[..TALL_MR], &b_blk[..TALL_NR]);
-            for mr in 0..TALL_MR {
-                for jj in 0..TALL_NR {
-                    acc[mr][jj] = w0[mr] * b0[jj];
-                }
-            }
-            for c in 1..cols {
-                let w = &tile[c * TALL_MR..(c + 1) * TALL_MR];
-                let bc = &b_blk[c * stride..c * stride + TALL_NR];
-                for mr in 0..TALL_MR {
-                    for jj in 0..TALL_NR {
-                        acc[mr][jj] += w[mr] * bc[jj];
-                    }
-                }
-            }
-            for row in &acc {
-                for (bv, &d) in best.iter_mut().zip(row) {
-                    if d > *bv {
-                        *bv = d;
-                    }
-                }
-            }
-        }
-        out_blk.copy_from_slice(&best[..out_blk.len()]);
+    let hi = lo + out.len();
+    let tiles = a_pack.as_chunks::<TALL_MR>().0;
+    let blocks = panel.packed.as_chunks::<TALL_NB>().0.chunks_exact(cols);
+    for (k, block) in blocks.enumerate().take(hi.div_ceil(TALL_NB)).skip(lo / TALL_NB) {
+        let best = block_max(tiles, block);
+        let (j0, j1) = ((k * TALL_NB).max(lo), ((k + 1) * TALL_NB).min(hi));
+        out[j0 - lo..j1 - lo].copy_from_slice(&best[j0 - k * TALL_NB..j1 - k * TALL_NB]);
     }
 }
 
-/// Wide-panel path: register-tile `b`'s rows, stream the patch panel.
-fn colmax_wide(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
-    for (tile, out_tile) in out.chunks_mut(COLMAX_TILE).enumerate() {
-        let b_tile = &b[tile * COLMAX_TILE * cols..][..out_tile.len() * cols];
-        let mut best = [f32::NEG_INFINITY; COLMAX_TILE];
-        for a_row in a.chunks_exact(cols) {
-            for (bv, b_row) in best.iter_mut().zip(b_tile.chunks_exact(cols)) {
-                let d = dot_lanes(a_row, b_row);
-                if d > *bv {
-                    *bv = d;
+/// Maxima over all patches for prototypes `[OFF, OFF + NR)` of one panel
+/// block: walk the packed patch tiles in order, sum each `TALL_MR × NR`
+/// tile in [`tall_tile`], and fold it into `NR` running maxima with
+/// [`fold_tile`].
+#[inline(always)]
+fn block_half_max<const NR: usize, const OFF: usize>(
+    tiles: &[[f32; TALL_MR]],
+    block: &[[f32; TALL_NB]],
+) -> [f32; NR] {
+    let mut best = [f32::NEG_INFINITY; NR];
+    for tile in tiles.chunks_exact(block.len()) {
+        fold_tile(&mut best, &tall_tile::<NR, OFF>(tile, block));
+    }
+    best
+}
+
+/// The `TALL_MR × NR` sums of one patch tile against prototypes
+/// `[OFF, OFF + NR)` of a block, each over `c` ascending from the first
+/// product. Patches and block are walked in lockstep as fixed-size arrays,
+/// so every index is a constant and nothing is bounds-checked. The
+/// accumulators are returned by value, which keeps them in registers for
+/// the whole channel loop.
+#[inline(always)]
+fn tall_tile<const NR: usize, const OFF: usize>(
+    tile: &[[f32; TALL_MR]],
+    block: &[[f32; TALL_NB]],
+) -> [[f32; NR]; TALL_MR] {
+    let (w0, b0) = (&tile[0], &block[0]);
+    let mut acc: [[f32; NR]; TALL_MR] = std::array::from_fn(|mr| {
+        let w = w0[mr];
+        std::array::from_fn(|jj| w * b0[OFF + jj])
+    });
+    for (w, bc) in tile[1..].iter().zip(&block[1..]) {
+        for mr in 0..TALL_MR {
+            for jj in 0..NR {
+                acc[mr][jj] += w[mr] * bc[OFF + jj];
+            }
+        }
+    }
+    acc
+}
+
+/// Fold one tile's `TALL_MR` patch sums per prototype into the running
+/// maxima as a tree: `max(max(s0, s1), max(s2, s3))`, then `best`, where
+/// each step keeps its left (earlier) operand unless the right one is
+/// strictly greater. The result is the sequential fold
+/// `best = if s > best { s } else { best }` over `s0..s3` bit for bit —
+/// ties between `+0.0` and `-0.0` keep the earlier patch, and a NaN sum never
+/// wins — while `best` waits on one step per tile instead of four.
+#[inline(always)]
+fn fold_tile<const NR: usize>(best: &mut [f32; NR], acc: &[[f32; NR]; TALL_MR]) {
+    for (jj, bv) in best.iter_mut().enumerate() {
+        // A NaN on the left of a step would win it. As -∞ it wins nothing,
+        // as in the sequential fold; a NaN on the right already loses, so
+        // neither m01 nor m23 can be NaN.
+        let m01 = max_left(nan_to_neg_inf(acc[0][jj]), acc[1][jj]);
+        let m23 = max_left(nan_to_neg_inf(acc[2][jj]), acc[3][jj]);
+        *bv = max_left(*bv, max_left(m01, m23));
+    }
+}
+
+/// The earlier of two maxima: `right` only if it is strictly greater.
+#[inline(always)]
+fn max_left(left: f32, right: f32) -> f32 {
+    if right > left {
+        right
+    } else {
+        left
+    }
+}
+
+/// `x`, or `-∞` if `x` is NaN.
+#[inline(always)]
+fn nan_to_neg_inf(x: f32) -> f32 {
+    max_left(f32::NEG_INFINITY, x)
+}
+
+/// Wide path compiled with AVX2 enabled: each of the tile's dot products
+/// runs its `DOT_LANES` lanes in one 256-bit register. FMA stays off, so
+/// every multiply and add rounds exactly as in the portable copy.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
+// is safe code.
+unsafe fn colmax_wide_avx2(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
+    colmax_wide_body(a, b, cols, out);
+}
+
+/// Wide path over row-major `a` (`m × cols`) and `b` (`out.len() × cols`),
+/// inlined into each ISA's copy (called directly, it is the portable copy):
+/// for each run of `WIDE_NR` prototypes, sum every `WIDE_MR`-patch tile in
+/// [`wide_tile`] and fold the patches into the running maxima in ascending
+/// order. Tail tiles repeat the last patch or prototype; a repeated patch
+/// cannot change a running max, and a repeated prototype's outputs are not
+/// stored.
+#[inline(always)]
+fn colmax_wide_body(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
+    let (m, rows) = (a.len() / cols, out.len());
+    for (t, out_tile) in out.chunks_mut(WIDE_NR).enumerate() {
+        let protos: [&[f32]; WIDE_NR] = std::array::from_fn(|q| {
+            let j = (t * WIDE_NR + q).min(rows - 1);
+            &b[j * cols..(j + 1) * cols]
+        });
+        let mut best = [f32::NEG_INFINITY; WIDE_NR];
+        for i in (0..m).step_by(WIDE_MR) {
+            let patches: [&[f32]; WIDE_MR] = std::array::from_fn(|p| {
+                let r = (i + p).min(m - 1);
+                &a[r * cols..(r + 1) * cols]
+            });
+            for sums in wide_tile(patches, protos) {
+                for (bv, s) in best.iter_mut().zip(sums) {
+                    *bv = max_left(*bv, s);
                 }
             }
         }
         out_tile.copy_from_slice(&best[..out_tile.len()]);
     }
+}
+
+/// The `WIDE_MR × WIDE_NR` dot products of a patch tile and a prototype
+/// tile (all rows of one length). Each dot product sums like a lone
+/// multi-lane dot product: `DOT_LANES` lanes from `0.0` over the bulk,
+/// `c` ascending within each lane, a scalar tail from `0.0`, then
+/// [`reduce_lanes`].
+#[inline(always)]
+fn wide_tile(x: [&[f32]; WIDE_MR], y: [&[f32]; WIDE_NR]) -> [[f32; WIDE_NR]; WIDE_MR] {
+    let n = x[0].len() / DOT_LANES;
+    let bulk = n * DOT_LANES;
+    let acc = wide_lanes(
+        x.map(|r| &r.as_chunks::<DOT_LANES>().0[..n]),
+        y.map(|r| &r.as_chunks::<DOT_LANES>().0[..n]),
+    );
+    std::array::from_fn(|p| {
+        std::array::from_fn(|q| {
+            let mut tail = 0.0f32;
+            for (&xv, &yv) in x[p][bulk..].iter().zip(&y[q][bulk..]) {
+                tail += xv * yv;
+            }
+            reduce_lanes(&acc[p][q], tail)
+        })
+    })
+}
+
+/// The lane sums of [`wide_tile`]'s bulk: all `WIDE_MR × WIDE_NR` dot
+/// products advance together over `DOT_LANES`-wide chunks of equal count,
+/// so eight independent accumulator chains are in flight. The chunks are
+/// walked in lockstep (nothing is bounds-checked), and the accumulators are
+/// returned by value: computed inline in `wide_tile`, LLVM left them as 64
+/// scalars instead of eight vector registers.
+#[inline(always)]
+fn wide_lanes(
+    x: [&[[f32; DOT_LANES]]; WIDE_MR],
+    y: [&[[f32; DOT_LANES]]; WIDE_NR],
+) -> [[[f32; DOT_LANES]; WIDE_NR]; WIDE_MR] {
+    let ([x0, x1], [y0, y1, y2, y3]) = (x, y);
+    let mut acc = [[[0.0f32; DOT_LANES]; WIDE_NR]; WIDE_MR];
+    let steps = x0.iter().zip(x1).zip(y0.iter().zip(y1)).zip(y2.iter().zip(y3));
+    for (((x0, x1), (y0, y1)), (y2, y3)) in steps {
+        let (xs, ys) = ([x0, x1], [y0, y1, y2, y3]);
+        for p in 0..WIDE_MR {
+            for q in 0..WIDE_NR {
+                for l in 0..DOT_LANES {
+                    acc[p][q][l] += xs[p][l] * ys[q][l];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// The fixed reduction tree of a multi-lane dot product: pairwise over the
+/// lanes, then the scalar tail.
+#[inline(always)]
+fn reduce_lanes(acc: &[f32; DOT_LANES], tail: f32) -> f32 {
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
 /// Output rows per register tile of the GEMM (the `MR` of a classic
@@ -1013,7 +1169,7 @@ mod tests {
     #[test]
     fn colmax_matmul_matches_naive_on_awkward_shapes() {
         // Shapes chosen to exercise tile and lane remainders: cols not a
-        // multiple of DOT_LANES, rows not a multiple of COLMAX_TILE.
+        // multiple of DOT_LANES, rows not a multiple of WIDE_NR.
         let mut rng = rng::std_rng(42);
         for &(m, n, cols) in &[(1usize, 1usize, 1usize), (3, 7, 5), (9, 17, 13), (16, 33, 8)] {
             let a: Vec<f32> = (0..m * cols).map(|_| rng::normal(&mut rng) as f32).collect();
@@ -1049,10 +1205,12 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `(m, rows, cols)` shapes for the tall-kernel tests: tall (`m ≥
-    /// 2·cols`) and wide, with `m % TALL_MR ≠ 0` and `rows % TALL_NR ≠ 0`
-    /// tails, single patches and single channels.
-    const TALL_SHAPES: [(usize, usize, usize); 8] = [
+    /// `(m, rows, cols)` shapes for the colmax kernel tests: tall (`m ≥
+    /// 2·cols`) and wide, with `m % TALL_MR ≠ 0`, `m % WIDE_MR ≠ 0`,
+    /// `rows % TALL_NB ≠ 0`, `rows % WIDE_NR ≠ 0` and `cols % DOT_LANES ≠ 0`
+    /// tails, single patches and single channels, and the label-dataset
+    /// layer geometries at a reduced prototype count.
+    const COLMAX_SHAPES: [(usize, usize, usize); 14] = [
         (64, 24, 8),
         (37, 29, 5),
         (130, 17, 16),
@@ -1061,6 +1219,12 @@ mod tests {
         (6, 40, 64),
         (2, 9, 33),
         (16, 3072, 64),
+        (1024, 42, 8),
+        (256, 45, 16),
+        (64, 47, 32),
+        (4, 43, 64),
+        (7, 21, 61),
+        (3, 5, 100),
     ];
 
     /// Random `rows × cols` panel with planted signed zeros, so the tests
@@ -1075,23 +1239,50 @@ mod tests {
             .collect()
     }
 
+    /// Row offsets for the sub-range tests: block-aligned and not.
+    fn los(rows: usize) -> Vec<usize> {
+        let mut los: Vec<usize> = [0, 1, 5, 15, 16, 17, 33, rows / 2, rows - 1]
+            .into_iter()
+            .filter(|&lo| lo < rows)
+            .collect();
+        los.dedup();
+        los
+    }
+
     #[test]
     fn tall_kernel_sums_in_naive_order() {
         // The tall kernel adds the channels in the naive kernel's order, so
         // away from signed zeros (where the naive sum starts at +0.0) the
         // two agree bit for bit.
         let mut rng = rng::std_rng(3);
-        for &(m, rows, cols) in &TALL_SHAPES {
+        for &(m, rows, cols) in &COLMAX_SHAPES {
             let a: Vec<f32> = (0..m * cols).map(|_| rng::normal(&mut rng) as f32).collect();
             let b: Vec<f32> = (0..rows * cols).map(|_| rng::normal(&mut rng) as f32).collect();
             let panel = ColmaxPanel::new(&b, cols);
             let mut pack = Vec::new();
             let mut tall = vec![0.0f32; rows];
-            colmax_tall_body(pack_patches(&mut pack, &a, cols), &panel, 0, &mut tall);
+            colmax_tall_portable(pack_patches(&mut pack, &a, cols), &panel, 0, &mut tall);
             let mut naive = vec![0.0f32; rows];
             colmax_matmul_naive_f32(&a, &b, cols, &mut naive);
             assert_eq!(bits(&tall), bits(&naive), "m={m} rows={rows} cols={cols}");
         }
+    }
+
+    /// Sequential fold of the single-channel sums `a[i] · b[j]` over the
+    /// patches: the maxima every kernel path must reproduce bit for bit.
+    fn sequential_colmax(a: &[f32], b: &[f32]) -> Vec<f32> {
+        b.iter()
+            .map(|&bj| {
+                let mut best = f32::NEG_INFINITY;
+                for &ai in a {
+                    let s = ai * bj;
+                    if s > best {
+                        best = s;
+                    }
+                }
+                best
+            })
+            .collect()
     }
 
     #[test]
@@ -1105,6 +1296,32 @@ mod tests {
         // the first.
         colmax_matmul_f32(&[-1.0, 1.0], &[0.0], 1, &mut out);
         assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
+        // Every sign pattern of up to 10 patches against prototypes +0.0
+        // and -0.0: all sums are zeros, so every max is a tie and the first
+        // patch must win, inside one 4-patch tile and across tiles. A third
+        // prototype of 1.0 makes the sums ±1, ties between equal values.
+        // Patches of NaN give NaN sums, which never win.
+        let b = [0.0f32, -0.0, 1.0];
+        for m in 2..=10usize {
+            for pattern in 0..3u32.pow(m as u32) {
+                let a: Vec<f32> = (0..m)
+                    .map(|i| match pattern / 3u32.pow(i as u32) % 3 {
+                        0 => 1.0,
+                        1 => -1.0,
+                        _ if m <= 6 => f32::NAN,
+                        _ => 1.0,
+                    })
+                    .collect();
+                let expect = sequential_colmax(&a, &b);
+                let mut got = [0.0f32; 3];
+                colmax_matmul_f32(&a, &b, 1, &mut got);
+                assert_eq!(bits(&got), bits(&expect), "m={m} a={a:?}");
+                let panel = ColmaxPanel::new(&b, 1);
+                let packed = pack_patches(&mut Vec::new(), &a, 1).to_vec();
+                colmax_tall_portable(&packed, &panel, 0, &mut got);
+                assert_eq!(bits(&got), bits(&expect), "portable m={m} a={a:?}");
+            }
+        }
     }
 
     #[test]
@@ -1116,23 +1333,105 @@ mod tests {
             }
             let mut rng = rng::std_rng(11);
             let mut pack = Vec::new();
-            for &(m, rows, cols) in &TALL_SHAPES {
+            for &(m, rows, cols) in &COLMAX_SHAPES {
                 let a = tall_panel(&mut rng, m, cols);
                 let b = tall_panel(&mut rng, rows, cols);
                 let panel = ColmaxPanel::new(&b, cols);
                 let packed = pack_patches(&mut pack, &a, cols);
-                for lo in [0, 1, rows / 2, rows - 1] {
-                    for len in [rows - lo, (rows - lo).min(11), 1] {
+                let mut full = vec![0.0f32; rows];
+                colmax_tall_portable(packed, &panel, 0, &mut full);
+                for lo in los(rows) {
+                    for len in [rows - lo, (rows - lo).min(11), (rows - lo).min(16), 1] {
                         let mut portable = vec![0.0f32; len];
-                        colmax_tall_body(packed, &panel, lo, &mut portable);
+                        colmax_tall_portable(packed, &panel, lo, &mut portable);
                         let mut avx2 = vec![0.0f32; len];
                         // SAFETY: AVX2 support was detected at the top of the test.
                         unsafe { colmax_tall_avx2(packed, &panel, lo, &mut avx2) };
-                        assert_eq!(
-                            bits(&portable),
-                            bits(&avx2),
-                            "m={m} rows={rows} cols={cols} lo={lo} len={len}"
-                        );
+                        let what = format!("m={m} rows={rows} cols={cols} lo={lo} len={len}");
+                        assert_eq!(bits(&portable), bits(&avx2), "{what}");
+                        assert_eq!(bits(&portable), bits(&full[lo..lo + len]), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The multi-lane dot product of the previous wide kernel:
+    /// `DOT_LANES` lanes from `0.0` over the bulk, a scalar tail from
+    /// `0.0`, and [`reduce_lanes`].
+    fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
+        let bulk = x.len() - x.len() % DOT_LANES;
+        let mut acc = [0.0f32; DOT_LANES];
+        for (xc, yc) in x[..bulk].chunks_exact(DOT_LANES).zip(y[..bulk].chunks_exact(DOT_LANES)) {
+            for l in 0..DOT_LANES {
+                acc[l] += xc[l] * yc[l];
+            }
+        }
+        let mut tail = 0.0f32;
+        for (&xv, &yv) in x[bulk..].iter().zip(&y[bulk..]) {
+            tail += xv * yv;
+        }
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    }
+
+    /// The previous wide kernel: one `dot_lanes` at a time, patches folded
+    /// into each prototype's running max in ascending order.
+    fn wide_reference(a: &[f32], b: &[f32], cols: usize) -> Vec<f32> {
+        b.chunks_exact(cols)
+            .map(|b_row| {
+                let mut best = f32::NEG_INFINITY;
+                for a_row in a.chunks_exact(cols) {
+                    let d = dot_lanes(a_row, b_row);
+                    if d > best {
+                        best = d;
+                    }
+                }
+                best
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wide_tile_equals_per_pair_dot_lanes() {
+        let mut rng = rng::std_rng(17);
+        for cols in [1usize, 7, 8, 9, 16, 33, 64, 100] {
+            let x = tall_panel(&mut rng, WIDE_MR, cols);
+            let y = tall_panel(&mut rng, WIDE_NR, cols);
+            let xr: [&[f32]; WIDE_MR] = std::array::from_fn(|p| &x[p * cols..(p + 1) * cols]);
+            let yr: [&[f32]; WIDE_NR] = std::array::from_fn(|q| &y[q * cols..(q + 1) * cols]);
+            let tile = wide_tile(xr, yr);
+            for (p, sums) in tile.iter().enumerate() {
+                for (q, s) in sums.iter().enumerate() {
+                    let d = dot_lanes(xr[p], yr[q]);
+                    assert_eq!(s.to_bits(), d.to_bits(), "cols={cols} p={p} q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_kernel_is_bit_identical_to_single_dot_reference() {
+        // Portable and (where the CPU has it) AVX2 copies of the wide path
+        // against the previous one-dot-at-a-time kernel, on every row
+        // sub-range: shapes cover cols % 8 ≠ 0, m % 2 ≠ 0, rows % 4 ≠ 0.
+        let mut rng = rng::std_rng(19);
+        for &(m, rows, cols) in &COLMAX_SHAPES {
+            let a = tall_panel(&mut rng, m, cols);
+            let b = tall_panel(&mut rng, rows, cols);
+            let reference = wide_reference(&a, &b, cols);
+            for lo in los(rows) {
+                for len in [rows - lo, (rows - lo).min(3), (rows - lo).min(5), 1] {
+                    let b_sub = &b[lo * cols..(lo + len) * cols];
+                    let what = format!("m={m} rows={rows} cols={cols} lo={lo} len={len}");
+                    let mut portable = vec![0.0f32; len];
+                    colmax_wide_body(&a, b_sub, cols, &mut portable);
+                    assert_eq!(bits(&portable), bits(&reference[lo..lo + len]), "{what}");
+                    #[cfg(target_arch = "x86_64")]
+                    if std::is_x86_feature_detected!("avx2") {
+                        let mut avx2 = vec![0.0f32; len];
+                        // SAFETY: AVX2 support was detected on the line above.
+                        unsafe { colmax_wide_avx2(&a, b_sub, cols, &mut avx2) };
+                        assert_eq!(bits(&avx2), bits(&portable), "avx2 {what}");
                     }
                 }
             }

@@ -3,8 +3,9 @@
 //! scalar kernel within 1e-5 on random shapes, be bit-deterministic, and be
 //! shard-stable (computing any sub-range of prototype rows matches the
 //! corresponding slice of the full result). The ranges reach full
-//! `4 × 8` register tiles of the tall path together with patch and
-//! prototype tails, and the wide path (`m < 2·cols`).
+//! `4 × 16` register tiles of the tall path (two 16-prototype panel blocks)
+//! together with patch and prototype tails, and full `2 × 4` tiles of the
+//! wide path (`m < 2·cols`) with their tails.
 
 use goggles_tensor::rng::{normal, std_rng};
 use goggles_tensor::{
@@ -82,8 +83,8 @@ proptest! {
     /// The panel kernel over any row shard `[lo, hi)` of a cached table
     /// matches the naive kernel on those rows within 1e-5, and is
     /// bit-identical to the matching slice of the full-table call — the
-    /// contract that lets a frozen bank transpose its prototypes once and
-    /// serve every later request (and any shard of one) from the cache.
+    /// contract that lets a frozen bank pack its prototypes once and serve
+    /// every later request (and any shard of one) from the cache.
     #[test]
     fn panel_kernel_matches_naive_on_every_shard(
         m in 0usize..96,
