@@ -265,31 +265,38 @@ pub fn fold_in_rows(
 
 /// Cached handles into the process-wide observability registry for the fit
 /// path. Resolved once; afterwards recording is lock-free atomics.
-struct FitMetrics {
+pub(crate) struct FitMetrics {
+    /// Backbone embedding of a labeling call's images.
+    pub(crate) embed: goggles_obs::Histogram,
+    /// Affinity-matrix construction.
+    pub(crate) affinity: goggles_obs::Histogram,
     em_base: goggles_obs::Histogram,
     em_ensemble: goggles_obs::Histogram,
+    /// Cluster→class mapping and its application.
+    pub(crate) map: goggles_obs::Histogram,
     base_iterations: goggles_obs::Histogram,
     ensemble_iterations: goggles_obs::Histogram,
     fits_total: goggles_obs::Counter,
 }
 
-fn fit_metrics() -> &'static FitMetrics {
+pub(crate) fn fit_metrics() -> &'static FitMetrics {
     static METRICS: std::sync::OnceLock<FitMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = goggles_obs::global();
-        let stage_help = "Wall time of hierarchical-fit phases in microseconds";
+        let stage = |name| {
+            reg.histogram(
+                "goggles_fit_stage_latency_us",
+                "Wall time of labeling-pipeline and hierarchical-fit phases in microseconds",
+                &[("stage", name)],
+            )
+        };
         let iter_help = "EM iterations consumed by the winning restart";
         FitMetrics {
-            em_base: reg.histogram(
-                "goggles_fit_stage_latency_us",
-                stage_help,
-                &[("stage", "em_base")],
-            ),
-            em_ensemble: reg.histogram(
-                "goggles_fit_stage_latency_us",
-                stage_help,
-                &[("stage", "em_ensemble")],
-            ),
+            embed: stage("embed"),
+            affinity: stage("affinity"),
+            em_base: stage("em_base"),
+            em_ensemble: stage("em_ensemble"),
+            map: stage("map"),
             base_iterations: reg.histogram(
                 "goggles_fit_em_iterations",
                 iter_help,
@@ -353,8 +360,11 @@ fn refit_base_models_warm(
 /// instead of owning a fixed chunk: the deep-layer functions run several
 /// times more EM iterations than the shallow ones and sit together at the
 /// end of the index range, so a static split leaves one worker with most of
-/// the work. Each fit depends only on `f`, and its result lands in slot `f`,
-/// so the output is the same for every thread count and claiming order.
+/// the work. Claims run from `alpha − 1` down to 0, longest fits first, so
+/// the cheap shallow fits fill in at the end instead of one deep fit
+/// finishing alone. Each fit depends only on `f`, and its result lands in
+/// slot `f`, so the output is the same for every thread count and claiming
+/// order.
 fn fit_each_function(
     alpha: usize,
     threads: usize,
@@ -364,10 +374,11 @@ fn fit_each_function(
     let claim = || {
         let mut done = Vec::new();
         loop {
-            let f = next.fetch_add(1, Ordering::Relaxed);
-            if f >= alpha {
+            let claimed = next.fetch_add(1, Ordering::Relaxed);
+            if claimed >= alpha {
                 return done;
             }
+            let f = alpha - 1 - claimed;
             done.push((f, fit(f).map_err(Into::into)));
         }
     };

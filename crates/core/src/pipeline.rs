@@ -3,7 +3,7 @@
 //! labels.
 
 use crate::affinity::AffinityMatrix;
-use crate::hierarchical::{HierarchicalModel, HierarchicalOptions};
+use crate::hierarchical::{fit_metrics, HierarchicalModel, HierarchicalOptions};
 use crate::mapping::{apply_mapping, map_clusters_via_dev_set};
 use crate::prototypes::embed_images;
 use crate::{GogglesError, Result};
@@ -214,14 +214,22 @@ impl Goggles {
     }
 
     /// Step 1: construct the `N × αN` affinity matrix for a set of images.
+    ///
+    /// The embedding and matrix phases are timed into
+    /// `goggles_fit_stage_latency_us{stage="embed"|"affinity"}`.
     pub fn build_affinity_matrix(&self, images: &[&Image]) -> AffinityMatrix {
-        let embeddings = embed_images(
-            &self.net,
-            images,
-            self.config.top_z,
-            self.config.threads,
-            self.config.center_patches,
-        );
+        let obs = fit_metrics();
+        let embeddings = {
+            let _span = goggles_obs::Span::enter(&obs.embed);
+            embed_images(
+                &self.net,
+                images,
+                self.config.top_z,
+                self.config.threads,
+                self.config.center_patches,
+            )
+        };
+        let _span = goggles_obs::Span::enter(&obs.affinity);
         AffinityMatrix::build(&embeddings, self.config.threads)
     }
 
@@ -231,6 +239,9 @@ impl Goggles {
     /// This entry point is also what the representation ablations use: feed
     /// an [`AffinityMatrix::from_feature_vectors`] built from HOG or logits
     /// features to run "GOGGLES' inference module on them" (§5.3).
+    ///
+    /// Besides the fit's own EM spans, the cluster→class mapping is timed
+    /// into `goggles_fit_stage_latency_us{stage="map"}`.
     pub fn infer_from_affinity(
         &self,
         affinity: &AffinityMatrix,
@@ -244,6 +255,7 @@ impl Goggles {
             seed: self.config.seed,
         };
         let model = HierarchicalModel::fit(affinity, &opts)?;
+        let _span = goggles_obs::Span::enter(&fit_metrics().map);
         let mapping = map_clusters_via_dev_set(&model.responsibilities, dev_rows);
         let probs = apply_mapping(&model.responsibilities, &mapping);
         Ok((ProbabilisticLabels { probs }, mapping, model))
@@ -314,6 +326,10 @@ impl Goggles {
     /// sampled from it. Dev indices are global dataset indices; rows of the
     /// result cover every training instance (dev rows included, since the
     /// paper folds the dev set into the affinity matrix: `N = n + m`).
+    ///
+    /// Each call records one observation in each of the
+    /// `goggles_fit_stage_latency_us` stages `embed`, `affinity`,
+    /// `em_base`, `em_ensemble` and `map`.
     pub fn label_dataset(&self, dataset: &Dataset, dev: &DevSet) -> Result<LabelingResult> {
         let images = dataset.train_images();
         if images.is_empty() {

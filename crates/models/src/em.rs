@@ -42,24 +42,27 @@ pub struct FitStats {
 /// log-likelihood `Σ_i log Σ_k exp(log_joint[i,k])`.
 pub(crate) fn e_step_from_log_joint(log_joint: &Matrix<f64>, resp: &mut Matrix<f64>) -> f64 {
     assert_eq!(log_joint.shape(), resp.shape());
-    let k = log_joint.cols();
     let mut total = 0.0;
-    let mut buf = vec![0.0f64; k];
     for i in 0..log_joint.rows() {
-        let row = log_joint.row(i);
-        let lse = log_sum_exp(row);
-        total += lse;
-        if lse.is_finite() {
-            for (b, &lj) in buf.iter_mut().zip(row.iter()) {
-                *b = (lj - lse).exp();
-            }
-        } else {
-            // Degenerate sample: uniform responsibility keeps EM moving.
-            buf.fill(1.0 / k as f64);
-        }
-        resp.row_mut(i).copy_from_slice(&buf);
+        total += posterior_row(log_joint.row(i), resp.row_mut(i));
     }
     total
+}
+
+/// One row of the E-step: write the posteriors γ_{i·} of one sample's log
+/// joint row into `resp` and return the row's `log Σ_k exp(log_joint[k])`.
+/// A row whose normalizer is not finite gets uniform responsibility.
+pub(crate) fn posterior_row(log_joint: &[f64], resp: &mut [f64]) -> f64 {
+    let lse = log_sum_exp(log_joint);
+    if lse.is_finite() {
+        for (g, &lj) in resp.iter_mut().zip(log_joint) {
+            *g = (lj - lse).exp();
+        }
+    } else {
+        // Degenerate sample: uniform responsibility keeps EM moving.
+        resp.fill(1.0 / log_joint.len() as f64);
+    }
+    lse
 }
 
 /// Convert soft responsibilities (n × K) into hard cluster labels by
@@ -72,24 +75,25 @@ pub fn hard_labels(resp: &Matrix<f64>) -> Vec<usize> {
 /// `N_k = Σ_i γ_{ik}` (first line of Equations 10 and 11). A tiny floor
 /// keeps empty components alive so later log π terms stay finite.
 pub(crate) fn update_weights(resp: &Matrix<f64>) -> (Vec<f64>, Vec<f64>) {
-    let n = resp.rows();
-    let k = resp.cols();
-    let mut nk = vec![0.0f64; k];
-    for i in 0..n {
+    let mut nk = vec![0.0f64; resp.cols()];
+    for i in 0..resp.rows() {
         for (acc, &g) in nk.iter_mut().zip(resp.row(i)) {
             *acc += g;
         }
     }
-    let mut weights = Vec::with_capacity(k);
-    for &v in &nk {
-        weights.push((v / n as f64).max(1e-10));
-    }
+    (weights_from_counts(&nk, resp.rows()), nk)
+}
+
+/// `π_k = max(N_k / n, 1e-10)`, renormalized: the weight half of
+/// [`update_weights`] for callers that accumulate `N_k` themselves.
+pub(crate) fn weights_from_counts(nk: &[f64], n: usize) -> Vec<f64> {
+    let mut weights: Vec<f64> = nk.iter().map(|&v| (v / n as f64).max(1e-10)).collect();
     // renormalize after flooring
     let s: f64 = weights.iter().sum();
     for w in &mut weights {
         *w /= s;
     }
-    (weights, nk)
+    weights
 }
 
 /// Relative improvement used for the convergence check; robust to
