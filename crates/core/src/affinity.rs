@@ -73,6 +73,14 @@ pub struct AffinityMatrix {
 /// `A[x, f·N + j] = f(x, x_j)` follows from the new image's patch tables
 /// alone, so out-of-sample inference never re-embeds the training set (the
 /// serving path of `goggles-serve`).
+///
+/// The kernel does not read `stacked`. Prototype extraction pads each
+/// image's prototypes to `Z` by repeating them, so at construction the bank
+/// keeps, per layer, only the *distinct* rows of each image (compared bit
+/// for bit) plus a slot map from `j·z + r` to the distinct row. Each
+/// affinity request computes every distinct prototype once and scatters
+/// through the map. That is exact: the kernel's output for a prototype
+/// depends only on that prototype's bits and the query's patches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrototypeBank {
     /// One stacked prototype table per backbone layer, shallow → deep.
@@ -81,11 +89,60 @@ pub struct PrototypeBank {
     pub n: usize,
     /// Prototypes per layer (`Z`).
     pub z_per_layer: usize,
-    /// Packed prototype panels (one per layer), built once at construction
-    /// and reused by every affinity request: the kernel's tall path reads
-    /// prototypes in 16-wide channel-major blocks, and caching that layout
-    /// here keeps the per-request hot path packing- and allocation-free.
-    panels: Vec<goggles_tensor::ColmaxPanel>,
+    /// The distinct prototypes of each layer as the kernel reads them,
+    /// built once at construction and reused by every affinity request.
+    layers: Vec<DistinctLayer>,
+}
+
+/// One layer of a [`PrototypeBank`] without repeated work: its distinct
+/// prototype rows, the slot map back to the stacked table, and the packed
+/// panel of the distinct rows.
+#[derive(Debug, Clone, PartialEq)]
+struct DistinctLayer {
+    /// The distinct rows of the stacked table, row-major, image by image,
+    /// each image's rows in order of first occurrence. Two rows of an image
+    /// are the same only if every value has the same bits, so `+0.0` and
+    /// `-0.0` differ, and so do NaNs with different payloads.
+    rows: Vec<f32>,
+    /// `slots[j·z + r]`: the row of `rows` that holds prototype `r` of
+    /// image `j`.
+    slots: Vec<u32>,
+    /// `rows` packed for the kernel (16-wide channel-major blocks), so the
+    /// per-request hot path neither packs nor allocates on the prototype
+    /// side.
+    panel: goggles_tensor::ColmaxPanel,
+}
+
+impl DistinctLayer {
+    /// Dedupe each image's `z` rows of one stacked layer table.
+    ///
+    /// # Panics
+    /// Panics if the table has more than `u32::MAX` rows.
+    fn new(stacked: &Matrix<f32>, z: usize) -> Self {
+        assert!(stacked.rows() <= u32::MAX as usize, "prototype bank exceeds u32::MAX rows");
+        let cols = stacked.cols();
+        let mut rows: Vec<f32> = Vec::with_capacity(stacked.len());
+        let mut slots = Vec::with_capacity(stacked.rows());
+        for image in stacked.as_slice().chunks_exact(z * cols) {
+            let first = rows.len() / cols;
+            for proto in image.chunks_exact(cols) {
+                let seen = rows[first * cols..].chunks_exact(cols).position(|kept| {
+                    kept.iter().zip(proto).all(|(k, p)| k.to_bits() == p.to_bits())
+                });
+                let slot = match seen {
+                    Some(d) => first + d,
+                    None => {
+                        rows.extend_from_slice(proto);
+                        rows.len() / cols - 1
+                    }
+                };
+                // Lossless: slot < stacked.rows() ≤ u32::MAX.
+                slots.push(slot as u32);
+            }
+        }
+        let panel = goggles_tensor::ColmaxPanel::new(&rows, cols);
+        Self { rows, slots, panel }
+    }
 }
 
 impl PrototypeBank {
@@ -140,8 +197,8 @@ impl PrototypeBank {
                 p
             })
             .collect();
-        let panels = build_panels(&stacked);
-        Self { stacked, n, z_per_layer: z, panels }
+        let layers = stacked.iter().map(|p| DistinctLayer::new(p, z)).collect();
+        Self { stacked, n, z_per_layer: z, layers }
     }
 
     /// Build a bank directly from already-stacked per-layer prototype
@@ -164,12 +221,16 @@ impl PrototypeBank {
             )));
         }
         // Deserialized dimensions are untrusted: a corrupt N/Z pair must
-        // come back as an error, not an arithmetic-overflow panic.
-        let rows = n.checked_mul(z_per_layer).ok_or_else(|| {
-            crate::GogglesError::InvalidInput(format!(
-                "bank shape N·Z = {n}·{z_per_layer} overflows"
-            ))
-        })?;
+        // come back as an error, not an arithmetic-overflow panic or one in
+        // the u32 slot map.
+        let rows = n
+            .checked_mul(z_per_layer)
+            .filter(|&rows| u32::try_from(rows).is_ok())
+            .ok_or_else(|| {
+                crate::GogglesError::InvalidInput(format!(
+                    "bank shape N·Z = {n}·{z_per_layer} exceeds u32::MAX rows"
+                ))
+            })?;
         for (l, layer) in stacked.iter().enumerate() {
             if layer.rows() != rows || layer.cols() == 0 {
                 return Err(crate::GogglesError::InvalidInput(format!(
@@ -180,8 +241,8 @@ impl PrototypeBank {
                 )));
             }
         }
-        let panels = build_panels(&stacked);
-        Ok(Self { stacked, n, z_per_layer, panels })
+        let layers = stacked.iter().map(|p| DistinctLayer::new(p, z_per_layer)).collect();
+        Ok(Self { stacked, n, z_per_layer, layers })
     }
 
     /// Number of affinity functions `α = layers · Z`.
@@ -212,29 +273,20 @@ impl PrototypeBank {
         if threads <= 1 || m < threads {
             let mut scratch = RowScratch::default();
             for (q, row) in data.as_mut_slice().chunks_mut(row_len).enumerate() {
-                fill_row(row, &queries[q], &self.stacked, &self.panels, n, z, &mut scratch);
+                fill_row(row, &queries[q], &self.layers, n, z, &mut scratch);
             }
         } else {
             let chunk = m.div_ceil(threads);
             std::thread::scope(|scope| {
                 for (t, rows_chunk) in data.as_mut_slice().chunks_mut(chunk * row_len).enumerate() {
                     let start = t * chunk;
-                    let stacked = &self.stacked;
-                    let panels = &self.panels;
+                    let layers = &self.layers;
                     scope.spawn(move || {
                         // One workspace per worker, reused across every row
                         // and layer it fills.
                         let mut scratch = RowScratch::default();
                         for (local, row) in rows_chunk.chunks_mut(row_len).enumerate() {
-                            fill_row(
-                                row,
-                                &queries[start + local],
-                                stacked,
-                                panels,
-                                n,
-                                z,
-                                &mut scratch,
-                            );
+                            fill_row(row, &queries[start + local], layers, n, z, &mut scratch);
                         }
                     });
                 }
@@ -315,15 +367,21 @@ impl AffinityMatrix {
             keep.windows(2).all(|w| w[0] < w[1]),
             "restrict_functions: indices must be strictly increasing (no duplicates), got {keep:?}"
         );
-        let mut blocks: Vec<Matrix<f64>> = Vec::with_capacity(keep.len());
-        for &f in keep {
-            blocks.push(self.function_block(f));
+        assert!(
+            keep[keep.len() - 1] < self.alpha,
+            "function index {} out of range ({})",
+            keep[keep.len() - 1],
+            self.alpha
+        );
+        let n = self.n;
+        let mut data = Vec::with_capacity(self.data.rows() * keep.len() * n);
+        for row in self.data.rows_iter() {
+            for &f in keep {
+                data.extend_from_slice(&row[f * n..(f + 1) * n]);
+            }
         }
-        let mut data = blocks[0].clone();
-        for b in &blocks[1..] {
-            data = data.hstack(b).expect("equal row counts");
-        }
-        AffinityMatrix { data, n: self.n, alpha: keep.len(), z_per_layer: self.z_per_layer }
+        let data = Matrix::from_vec(self.data.rows(), keep.len() * n, data).expect("whole rows");
+        AffinityMatrix { data, n, alpha: keep.len(), z_per_layer: self.z_per_layer }
     }
 
     /// Build a **single-function** affinity matrix from arbitrary feature
@@ -415,53 +473,47 @@ struct RowScratch {
     best: Vec<f32>,
 }
 
-/// One [`goggles_tensor::ColmaxPanel`] per stacked layer — the packed
-/// prototype cache every affinity request reuses.
-fn build_panels(stacked: &[Matrix<f32>]) -> Vec<goggles_tensor::ColmaxPanel> {
-    stacked.iter().map(|p| goggles_tensor::ColmaxPanel::new(p.as_slice(), p.cols())).collect()
-}
-
 /// Fill row `i` of the affinity matrix: for every layer, run the blocked
 /// fused matmul + column-max kernel over the image's patch table and the
-/// stacked prototype table (Equation 2 vectorized over all (j, z) pairs at
-/// once), then scatter the maxima into the paper's `f·N + j` column layout.
-/// The kernel's tall path reads the bank's cached packed panel, so the
-/// per-request work is pure streaming arithmetic.
+/// layer's distinct prototypes (Equation 2 vectorized over all of them at
+/// once), then scatter the maxima through the slot map into the paper's
+/// `f·N + j` column layout. The kernel reads the bank's cached packed
+/// panel, so the per-request work is pure streaming arithmetic.
 fn fill_row(
     row: &mut [f64],
     embedding: &ImageEmbedding,
-    stacked: &[Matrix<f32>],
-    panels: &[goggles_tensor::ColmaxPanel],
+    layers: &[DistinctLayer],
     n: usize,
     z: usize,
     scratch: &mut RowScratch,
 ) {
-    for ((layer, protos), panel) in stacked.iter().enumerate().zip(panels) {
+    for (layer, table) in layers.iter().enumerate() {
         let patches = &embedding.layers[layer].patches; // HW × C
-        let nz = protos.rows(); // n·z
-        debug_assert_eq!(patches.cols(), protos.cols());
-        if scratch.best.len() < nz {
-            scratch.best.resize(nz, 0.0);
+        let distinct = table.panel.rows();
+        debug_assert_eq!(patches.cols(), table.panel.cols());
+        if scratch.best.len() < distinct {
+            scratch.best.resize(distinct, 0.0);
         }
-        let best = &mut scratch.best[..nz];
+        let best = &mut scratch.best[..distinct];
         goggles_tensor::colmax_matmul_panel_f32(
             &mut scratch.kernel,
             patches.as_slice(),
-            protos.as_slice(),
-            panel,
+            &table.rows,
+            &table.panel,
             0,
             best,
         );
-        scatter_layer(row, best, layer, n, z);
+        scatter_layer(row, best, &table.slots, layer, n, z);
     }
 }
 
-/// Scatter one layer's per-prototype maxima (`best[j·z + r]`) into the
-/// affinity row: function `layer·z + r` block, column `j`.
-fn scatter_layer(row: &mut [f64], best: &[f32], layer: usize, n: usize, z: usize) {
-    for j in 0..n {
-        for r in 0..z {
-            row[(layer * z + r) * n + j] = best[j * z + r] as f64;
+/// Scatter one layer's maxima into the affinity row: prototype `r` of image
+/// `j` (maximum `best[slots[j·z + r]]`) goes to function `layer·z + r`'s
+/// block, column `j`.
+fn scatter_layer(row: &mut [f64], best: &[f32], slots: &[u32], layer: usize, n: usize, z: usize) {
+    for (j, image) in slots.chunks_exact(z).enumerate() {
+        for (r, &slot) in image.iter().enumerate() {
+            row[(layer * z + r) * n + j] = f64::from(best[slot as usize]);
         }
     }
 }
@@ -484,6 +536,7 @@ fn fill_row_reference(
         debug_assert_eq!(patches.cols(), protos.cols());
         // scores[(j·z + r)] = max over patches of dot(patch, proto)
         let mut best = vec![f32::NEG_INFINITY; nz];
+        let identity: Vec<u32> = (0..nz as u32).collect();
         for p in 0..hw {
             let patch = patches.row(p);
             for (b, proto_row) in best.iter_mut().zip(0..nz) {
@@ -497,7 +550,7 @@ fn fill_row_reference(
                 }
             }
         }
-        scatter_layer(row, &best, layer, n, z);
+        scatter_layer(row, &best, &identity, layer, n, z);
     }
 }
 
@@ -516,6 +569,11 @@ mod tests {
         prototypes.l2_normalize_rows();
         let locations = vec![(0, 0); proto_rows.len()];
         ImageEmbedding { layers: vec![LayerEmbedding { patches, prototypes, locations }] }
+    }
+
+    /// The bits of every entry, so comparisons tell `+0.0` from `-0.0`.
+    fn f64_bits(m: &Matrix<f64>) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -562,7 +620,7 @@ mod tests {
         let embs = embed_images(&net, &refs, 3, 1, false);
         let a1 = AffinityMatrix::build(&embs, 1);
         let a4 = AffinityMatrix::build(&embs, 4);
-        assert!(a1.data.max_abs_diff(&a4.data) < 1e-12);
+        assert_eq!(f64_bits(&a1.data), f64_bits(&a4.data));
     }
 
     #[test]
@@ -609,6 +667,20 @@ mod tests {
     }
 
     #[test]
+    fn restrict_functions_keeps_non_contiguous_blocks() {
+        // α = 3, keep functions 0 and 2: each block of the copy is the
+        // matching block of the source.
+        let mk = |a: f32, b: f32| toy_embedding(&[&[a, b]], &[&[a, b], &[b, a], &[a, -b]]);
+        let am = AffinityMatrix::build(&[mk(1.0, 0.0), mk(0.6, 0.8), mk(0.0, 1.0)], 1);
+        assert_eq!(am.alpha, 3);
+        let restricted = am.restrict_functions(&[0, 2]);
+        assert_eq!((restricted.alpha, restricted.n), (2, 3));
+        assert_eq!(restricted.data.shape(), (3, 6));
+        assert_eq!(restricted.function_block(0), am.function_block(0));
+        assert_eq!(restricted.function_block(1), am.function_block(2));
+    }
+
+    #[test]
     fn prototype_bank_rows_match_full_matrix() {
         // The out-of-sample row path must agree exactly with the batch build
         // when the "queries" are the training images themselves.
@@ -626,7 +698,7 @@ mod tests {
         let bank = PrototypeBank::from_embeddings(&embs);
         assert_eq!(bank.alpha(), am.alpha);
         let rows = bank.affinity_rows(&embs, 3);
-        assert!(rows.max_abs_diff(&am.data) < 1e-12);
+        assert_eq!(f64_bits(&rows), f64_bits(&am.data));
         // A strict subset of queries reproduces the matching rows.
         let sub = bank.affinity_rows(&embs[2..4], 1);
         assert_eq!(sub.shape(), (2, am.alpha * am.n));
@@ -635,6 +707,94 @@ mod tests {
                 assert_eq!(sub[(q, c)], am.data[(i, c)]);
             }
         }
+    }
+
+    /// Affinity rows of `queries` against every stacked prototype with no
+    /// deduplication: one `colmax_matmul_panel_f32` per layer over all
+    /// `n·z` rows, scattered into the `f·N + j` layout.
+    fn undeduplicated_rows(bank: &PrototypeBank, queries: &[ImageEmbedding]) -> Matrix<f64> {
+        let (n, z) = (bank.n, bank.z_per_layer);
+        let mut data = Matrix::<f64>::zeros(queries.len(), bank.alpha() * n);
+        let mut scratch = goggles_tensor::ColmaxScratch::default();
+        for (q, query) in queries.iter().enumerate() {
+            for (layer, protos) in bank.stacked.iter().enumerate() {
+                let panel = goggles_tensor::ColmaxPanel::new(protos.as_slice(), protos.cols());
+                let mut best = vec![0.0f32; protos.rows()];
+                goggles_tensor::colmax_matmul_panel_f32(
+                    &mut scratch,
+                    query.layers[layer].patches.as_slice(),
+                    protos.as_slice(),
+                    &panel,
+                    0,
+                    &mut best,
+                );
+                for (s, v) in best.iter().enumerate() {
+                    data[(q, (layer * z + s % z) * n + s / z)] = f64::from(*v);
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn deduplicated_rows_match_undeduplicated_kernel_bit_for_bit() {
+        // The tiny backbone's pool5 is 1×1, so its Z prototypes per image
+        // are all one location, repeated. Planted on top: rows differing
+        // only by the sign of zeros (all +0.0 against all -0.0, which the
+        // tall path sums to different zeros), NaN rows with different
+        // payloads, and a bit-exact copy of a NaN row, which alone may merge.
+        let z = 4;
+        let net = Vgg16::new(&VggConfig::tiny(), 13);
+        let images: Vec<Image> = (0..4)
+            .map(|i| {
+                let mut img = Image::filled(3, 32, 32, 0.2);
+                draw::fill_disc(&mut img, 8.0 + 4.0 * i as f32, 15.0, 5.0, &[0.6, 0.9, 0.1]);
+                img
+            })
+            .collect();
+        let refs: Vec<&Image> = images.iter().collect();
+        let mut embs = embed_images(&net, &refs, z, 1, false);
+        let nan_a = f32::NAN;
+        let nan_b = f32::from_bits(f32::NAN.to_bits() | 1);
+        // Layer 0 (tall path: 256 patches × 4 channels) and layer 3 (wide
+        // path: 4 patches × 16 channels).
+        for layer in [0, 3] {
+            let protos = &mut embs[1].layers[layer].prototypes;
+            protos.row_mut(0).fill(0.0);
+            protos.row_mut(1).fill(-0.0);
+            protos.row_mut(2).fill(nan_a);
+            protos.row_mut(3).fill(nan_b);
+            let protos = &mut embs[2].layers[layer].prototypes;
+            protos.row_mut(0).fill(nan_a);
+            protos.row_mut(1).fill(nan_a);
+        }
+        let bank = PrototypeBank::from_embeddings(&embs);
+        let stacked = PrototypeBank::from_stacked(bank.stacked.clone(), bank.n, z).unwrap();
+        for b in [&bank, &stacked] {
+            // pool5: one distinct row per image.
+            assert_eq!(b.layers[4].panel.rows(), bank.n);
+            assert_eq!(b.layers[4].slots, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]);
+            for layer in [0, 3] {
+                // Image 1's four planted rows stay four; image 2's NaN copy
+                // merges with its original.
+                let slots = &b.layers[layer].slots;
+                let first = slots[4] as usize;
+                assert_eq!(slots[4..8], [0, 1, 2, 3].map(|d| (first + d) as u32), "layer {layer}");
+                assert_eq!(slots[8], slots[9], "layer {layer}");
+                assert!(slots[10] > slots[9], "layer {layer}");
+            }
+        }
+        let oracle = undeduplicated_rows(&bank, &embs);
+        for b in [&bank, &stacked] {
+            for threads in [1, 2, 3] {
+                let rows = b.affinity_rows(&embs, threads);
+                assert_eq!(f64_bits(&rows), f64_bits(&oracle), "threads = {threads}");
+            }
+        }
+        // The planted signed zeros reach the output as different zeros.
+        let zero_col = |r: usize| (r * bank.n) + 1;
+        assert_eq!(oracle[(0, zero_col(0))].to_bits(), 0.0f64.to_bits());
+        assert_eq!(oracle[(0, zero_col(1))].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

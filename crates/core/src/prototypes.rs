@@ -68,18 +68,9 @@ pub struct ImageEmbedding {
 /// 3. read the channel-axis vector at that location,
 /// 4. drop duplicate locations, then pad by cycling the kept locations so
 ///    exactly `z` prototypes come back.
-// goggles-lint: allow(dead-pub): the paper's §3.1 prototype-extraction primitive, kept as the documented entry point; exercised only by unit tests
-pub fn extract_top_z_prototypes(
-    map: &Tensor3<f32>,
-    z: usize,
-) -> (Matrix<f32>, Vec<(usize, usize)>) {
-    let (mut protos, locations) = extract_top_z_prototypes_raw(map, z);
-    protos.l2_normalize_rows();
-    (protos, locations)
-}
-
-/// As [`extract_top_z_prototypes`] but without the final L2 normalization
-/// (the embedding path centers first, then normalizes).
+///
+/// The rows are not L2-normalized: the embedding path centers first, then
+/// normalizes.
 fn extract_top_z_prototypes_raw(
     map: &Tensor3<f32>,
     z: usize,
@@ -259,6 +250,16 @@ mod tests {
     use goggles_cnn::VggConfig;
     use goggles_tensor::Tensor3;
     use goggles_vision::draw;
+
+    /// [`extract_top_z_prototypes_raw`] with the rows L2-normalized.
+    fn extract_top_z_prototypes(
+        map: &Tensor3<f32>,
+        z: usize,
+    ) -> (Matrix<f32>, Vec<(usize, usize)>) {
+        let (mut protos, locations) = extract_top_z_prototypes_raw(map, z);
+        protos.l2_normalize_rows();
+        (protos, locations)
+    }
 
     fn sample_image(shift: f32) -> Image {
         let mut img = Image::filled(3, 32, 32, 0.3);

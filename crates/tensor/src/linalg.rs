@@ -41,19 +41,21 @@ pub fn gemm_flop_count() -> u64 {
 }
 
 /// Independent accumulator lanes of each dot product on the wide colmax
-/// path. Eight f32 lanes map onto one AVX register (or two SSE registers);
-/// the per-lane sums are combined in a fixed tree (`reduce_lanes`), so the
-/// result is deterministic.
+/// path: channel `c` adds into lane `c mod 8`, and the per-lane sums are
+/// combined in a fixed tree (`reduce_lanes`), so the result is
+/// deterministic.
 const DOT_LANES: usize = 8;
 
-/// Patches per register tile of the wide colmax path.
-const WIDE_MR: usize = 2;
-
-/// Prototypes per register tile of the wide colmax path. `WIDE_MR ×
-/// WIDE_NR` dot products of `DOT_LANES` lanes each are 64 f32
-/// accumulators: eight 256-bit registers under AVX2, with room left for
-/// the six operand loads of a step.
+/// Prototypes per lane accumulator of the portable wide path: a quarter of
+/// a panel block, so the `DOT_LANES` accumulators are eight 128-bit
+/// registers of the SSE2 baseline.
 const WIDE_NR: usize = 4;
+
+/// Prototypes per lane accumulator of the AVX2 wide path: half a panel
+/// block, so the `DOT_LANES` accumulators are eight 256-bit registers,
+/// which leaves room for the broadcast patch value and the prototype load
+/// of a channel step.
+const WIDE_NR_AVX2: usize = 8;
 
 /// Patches per register tile of the tall colmax path.
 const TALL_MR: usize = 4;
@@ -107,7 +109,8 @@ pub fn colmax_matmul_f32(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
 }
 
 /// A prototype table packed once and cached **across requests**, in the
-/// block-major layout the tall path of [`colmax_matmul_panel_f32`] reads.
+/// block-major layout both paths of [`colmax_matmul_panel_f32`] read: the
+/// kernel takes every prototype value from the panel.
 ///
 /// The table is cut into blocks of `TALL_NB` (16) consecutive prototypes.
 /// Each block is stored as `cols × 16` contiguous floats, channel-major:
@@ -164,8 +167,10 @@ impl ColmaxPanel {
 /// prototype table packed in `panel`:
 /// `out[jj] = max_i Σ_c a[i·cols + c] · b[(lo + jj)·cols + c]` — Equation 2
 /// of the paper vectorized over all prototypes at once, the affinity hot
-/// path. `b` is the same row-major table the panel was built from. When
-/// `m == 0` every output is `f32::NEG_INFINITY` (the max of an empty set).
+/// path. `b` is the same row-major table the panel was built from; both
+/// paths read the prototypes from the panel only, and `b` is only checked
+/// against the panel's geometry. When `m == 0` every output is
+/// `f32::NEG_INFINITY` (the max of an empty set).
 ///
 /// Two code paths, picked by panel shape:
 ///
@@ -181,15 +186,21 @@ impl ColmaxPanel {
 ///   rows do not start or end on a block boundary computes the covering
 ///   blocks and stores only the requested outputs.
 /// * **Wide panels** (the deep layers: few patches, hundreds of channels):
-///   a register tile of `WIDE_MR` patches × `WIDE_NR` prototypes keeps
-///   eight independent dot products in flight, each on `DOT_LANES`
-///   accumulator lanes, read straight from the row-major `a` and `b`.
+///   one patch of the row-major `a` at a time against a run of prototypes
+///   of a panel block, with the lanes across prototypes. `DOT_LANES`
+///   accumulators, one per `c mod 8`, each as wide as the run, start at
+///   `0.0` and take `c` ascending; the channels past the last multiple of
+///   8 sum into a tail from `0.0`. The lanes and the tail are then reduced
+///   by a fixed tree, seven vertical adds and one more for the tail per
+///   run, and each patch folds into the running maxima in ascending order.
 ///
 /// **ISA dispatch.** Both paths are compiled twice: portable, and on x86-64
 /// CPUs with AVX2 an AVX2-compiled copy picked at run time (the tall copy
-/// runs the whole 4×16 tile; the portable one runs it as two 4×8 halves).
-/// Neither contracts a multiply-add, and tile shape does not change any
-/// output's summation order, so the copies are bit-identical.
+/// runs the whole 4×16 tile, the portable one two 4×8 halves; the wide
+/// copy runs a block as two 8-prototype halves, the portable one as four
+/// 4-prototype quarters). Neither contracts a multiply-add, and tile shape
+/// does not change any output's summation order, so the copies are
+/// bit-identical.
 ///
 /// **Bit-exact maxima.** Patches reach each running maximum in ascending
 /// order, and a later patch replaces it only when strictly greater: ties
@@ -237,7 +248,6 @@ pub fn colmax_matmul_panel_f32(
     if a.is_empty() || out.is_empty() {
         return;
     }
-    let b = &b[lo * cols..(lo + out.len()) * cols];
     let tall = a.len() / cols >= 2 * cols;
     let a_pack: &[f32] = if tall { pack_patches(&mut scratch.a_pack, a, cols) } else { &[] };
     #[cfg(target_arch = "x86_64")]
@@ -248,14 +258,14 @@ pub fn colmax_matmul_panel_f32(
             if tall {
                 colmax_tall_avx2(a_pack, panel, lo, out);
             } else {
-                colmax_wide_avx2(a, b, cols, out);
+                colmax_wide_avx2(a, panel, lo, out);
             }
         };
     }
     if tall {
         colmax_tall_portable(a_pack, panel, lo, out);
     } else {
-        colmax_wide_body(a, b, cols, out);
+        colmax_wide_portable(a, panel, lo, out);
     }
 }
 
@@ -283,7 +293,8 @@ fn pack_patches<'p>(pack: &'p mut Vec<f32>, a: &[f32], cols: usize) -> &'p [f32]
 
 /// Tall path, portable copy: each panel block runs as two 4×8 halves.
 fn colmax_tall_portable(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
-    colmax_tall_body(a_pack, panel, lo, out, |tiles, block| {
+    let tiles = a_pack.as_chunks::<TALL_MR>().0;
+    colmax_blocks(panel, lo, out, |block| {
         let left = block_half_max::<TALL_NR, 0>(tiles, block);
         let right = block_half_max::<TALL_NR, TALL_NR>(tiles, block);
         std::array::from_fn(|j| if j < TALL_NR { left[j] } else { right[j - TALL_NR] })
@@ -301,28 +312,59 @@ fn colmax_tall_portable(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mu
 // SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
 // is safe code.
 unsafe fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
-    colmax_tall_body(a_pack, panel, lo, out, block_half_max::<TALL_NB, 0>);
+    let tiles = a_pack.as_chunks::<TALL_MR>().0;
+    colmax_blocks(panel, lo, out, |block| block_half_max::<TALL_NB, 0>(tiles, block));
 }
 
-/// Tall path over a packed patch panel, inlined into each ISA's copy: for
-/// each panel block that overlaps rows `[lo, lo + out.len())`, take the 16
+/// Wide path, portable copy: each panel block runs as four 4-prototype
+/// quarters.
+fn colmax_wide_portable(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    colmax_blocks(panel, lo, out, |block| {
+        let q = [
+            wide_run_max::<WIDE_NR, 0>(a, block),
+            wide_run_max::<WIDE_NR, WIDE_NR>(a, block),
+            wide_run_max::<WIDE_NR, { 2 * WIDE_NR }>(a, block),
+            wide_run_max::<WIDE_NR, { 3 * WIDE_NR }>(a, block),
+        ];
+        std::array::from_fn(|j| q[j / WIDE_NR][j % WIDE_NR])
+    });
+}
+
+/// Wide path compiled with AVX2 enabled: each panel block runs as two
+/// 8-prototype halves, every lane accumulator one 256-bit register. FMA
+/// stays off, so every multiply and add rounds exactly as in the portable
+/// copy.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
+// is safe code.
+unsafe fn colmax_wide_avx2(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    colmax_blocks(panel, lo, out, |block| {
+        let left = wide_run_max::<WIDE_NR_AVX2, 0>(a, block);
+        let right = wide_run_max::<WIDE_NR_AVX2, WIDE_NR_AVX2>(a, block);
+        std::array::from_fn(|j| if j < WIDE_NR_AVX2 { left[j] } else { right[j - WIDE_NR_AVX2] })
+    });
+}
+
+/// The block loop of both paths, inlined into each ISA's copy: for each
+/// panel block that overlaps rows `[lo, lo + out.len())`, take the 16
 /// maxima from `block_max` and store the requested ones. `block_max` gets
-/// the packed patches as `[c][mr]` arrays (tile after tile) and the block as
-/// `[c][jj]` arrays.
+/// the block as `[c][jj]` arrays.
 #[inline(always)]
-fn colmax_tall_body(
-    a_pack: &[f32],
+fn colmax_blocks(
     panel: &ColmaxPanel,
     lo: usize,
     out: &mut [f32],
-    block_max: impl Fn(&[[f32; TALL_MR]], &[[f32; TALL_NB]]) -> [f32; TALL_NB],
+    block_max: impl Fn(&[[f32; TALL_NB]]) -> [f32; TALL_NB],
 ) {
     let cols = panel.cols;
     let hi = lo + out.len();
-    let tiles = a_pack.as_chunks::<TALL_MR>().0;
     let blocks = panel.packed.as_chunks::<TALL_NB>().0.chunks_exact(cols);
     for (k, block) in blocks.enumerate().take(hi.div_ceil(TALL_NB)).skip(lo / TALL_NB) {
-        let best = block_max(tiles, block);
+        let best = block_max(block);
         let (j0, j1) = ((k * TALL_NB).max(lo), ((k + 1) * TALL_NB).min(hi));
         out[j0 - lo..j1 - lo].copy_from_slice(&best[j0 - k * TALL_NB..j1 - k * TALL_NB]);
     }
@@ -405,98 +447,51 @@ fn nan_to_neg_inf(x: f32) -> f32 {
     max_left(f32::NEG_INFINITY, x)
 }
 
-/// Wide path compiled with AVX2 enabled: each of the tile's dot products
-/// runs its `DOT_LANES` lanes in one 256-bit register. FMA stays off, so
-/// every multiply and add rounds exactly as in the portable copy.
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
-// is safe code.
-unsafe fn colmax_wide_avx2(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
-    colmax_wide_body(a, b, cols, out);
-}
-
-/// Wide path over row-major `a` (`m × cols`) and `b` (`out.len() × cols`),
-/// inlined into each ISA's copy (called directly, it is the portable copy):
-/// for each run of `WIDE_NR` prototypes, sum every `WIDE_MR`-patch tile in
-/// [`wide_tile`] and fold the patches into the running maxima in ascending
-/// order. Tail tiles repeat the last patch or prototype; a repeated patch
-/// cannot change a running max, and a repeated prototype's outputs are not
-/// stored.
+/// Maxima over all patches of the row-major `a` (`m × cols`) for
+/// prototypes `[OFF, OFF + NR)` of one panel block. Each patch's `NR` sums
+/// keep the order of a lone multi-lane dot product: the `DOT_LANES` lane
+/// sums of [`lane_sums`] over the bulk, a tail over the last `cols mod 8`
+/// channels from `0.0`, then [`reduce_lanes`]' tree, run vertically across
+/// the `NR` prototypes. Patches fold into the running maxima in ascending
+/// order with [`max_left`].
 #[inline(always)]
-fn colmax_wide_body(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
-    let (m, rows) = (a.len() / cols, out.len());
-    for (t, out_tile) in out.chunks_mut(WIDE_NR).enumerate() {
-        let protos: [&[f32]; WIDE_NR] = std::array::from_fn(|q| {
-            let j = (t * WIDE_NR + q).min(rows - 1);
-            &b[j * cols..(j + 1) * cols]
-        });
-        let mut best = [f32::NEG_INFINITY; WIDE_NR];
-        for i in (0..m).step_by(WIDE_MR) {
-            let patches: [&[f32]; WIDE_MR] = std::array::from_fn(|p| {
-                let r = (i + p).min(m - 1);
-                &a[r * cols..(r + 1) * cols]
-            });
-            for sums in wide_tile(patches, protos) {
-                for (bv, s) in best.iter_mut().zip(sums) {
-                    *bv = max_left(*bv, s);
-                }
+fn wide_run_max<const NR: usize, const OFF: usize>(
+    a: &[f32],
+    block: &[[f32; TALL_NB]],
+) -> [f32; NR] {
+    let (bulk, tail_block) = block.as_chunks::<DOT_LANES>();
+    let mut best = [f32::NEG_INFINITY; NR];
+    for patch in a.chunks_exact(block.len()) {
+        let (x, tail_x) = patch.as_chunks::<DOT_LANES>();
+        let acc = lane_sums::<NR, OFF>(x, bulk);
+        let mut tail = [0.0f32; NR];
+        for (&xv, bc) in tail_x.iter().zip(tail_block) {
+            for jj in 0..NR {
+                tail[jj] += xv * bc[OFF + jj];
             }
         }
-        out_tile.copy_from_slice(&best[..out_tile.len()]);
+        for jj in 0..NR {
+            let lanes: [f32; DOT_LANES] = std::array::from_fn(|l| acc[l][jj]);
+            best[jj] = max_left(best[jj], reduce_lanes(&lanes, tail[jj]));
+        }
     }
+    best
 }
 
-/// The `WIDE_MR × WIDE_NR` dot products of a patch tile and a prototype
-/// tile (all rows of one length). Each dot product sums like a lone
-/// multi-lane dot product: `DOT_LANES` lanes from `0.0` over the bulk,
-/// `c` ascending within each lane, a scalar tail from `0.0`, then
-/// [`reduce_lanes`].
+/// The lane sums of one patch against prototypes `[OFF, OFF + NR)` of a
+/// block: lane `l` of prototype `jj` sums `x[k][l] · b[k][l][OFF + jj]`
+/// over the chunks `k` ascending, from `0.0`. The `DOT_LANES` accumulators
+/// are independent add chains. Each step builds the next accumulators by
+/// value from the previous ones: written as an in-place nested loop, LLVM
+/// kept them in memory and the loop ran several times slower.
 #[inline(always)]
-fn wide_tile(x: [&[f32]; WIDE_MR], y: [&[f32]; WIDE_NR]) -> [[f32; WIDE_NR]; WIDE_MR] {
-    let n = x[0].len() / DOT_LANES;
-    let bulk = n * DOT_LANES;
-    let acc = wide_lanes(
-        x.map(|r| &r.as_chunks::<DOT_LANES>().0[..n]),
-        y.map(|r| &r.as_chunks::<DOT_LANES>().0[..n]),
-    );
-    std::array::from_fn(|p| {
-        std::array::from_fn(|q| {
-            let mut tail = 0.0f32;
-            for (&xv, &yv) in x[p][bulk..].iter().zip(&y[q][bulk..]) {
-                tail += xv * yv;
-            }
-            reduce_lanes(&acc[p][q], tail)
-        })
-    })
-}
-
-/// The lane sums of [`wide_tile`]'s bulk: all `WIDE_MR × WIDE_NR` dot
-/// products advance together over `DOT_LANES`-wide chunks of equal count,
-/// so eight independent accumulator chains are in flight. The chunks are
-/// walked in lockstep (nothing is bounds-checked), and the accumulators are
-/// returned by value: computed inline in `wide_tile`, LLVM left them as 64
-/// scalars instead of eight vector registers.
-#[inline(always)]
-fn wide_lanes(
-    x: [&[[f32; DOT_LANES]]; WIDE_MR],
-    y: [&[[f32; DOT_LANES]]; WIDE_NR],
-) -> [[[f32; DOT_LANES]; WIDE_NR]; WIDE_MR] {
-    let ([x0, x1], [y0, y1, y2, y3]) = (x, y);
-    let mut acc = [[[0.0f32; DOT_LANES]; WIDE_NR]; WIDE_MR];
-    let steps = x0.iter().zip(x1).zip(y0.iter().zip(y1)).zip(y2.iter().zip(y3));
-    for (((x0, x1), (y0, y1)), (y2, y3)) in steps {
-        let (xs, ys) = ([x0, x1], [y0, y1, y2, y3]);
-        for p in 0..WIDE_MR {
-            for q in 0..WIDE_NR {
-                for l in 0..DOT_LANES {
-                    acc[p][q][l] += xs[p][l] * ys[q][l];
-                }
-            }
-        }
+fn lane_sums<const NR: usize, const OFF: usize>(
+    x: &[[f32; DOT_LANES]],
+    b: &[[[f32; TALL_NB]; DOT_LANES]],
+) -> [[f32; NR]; DOT_LANES] {
+    let mut acc = [[0.0f32; NR]; DOT_LANES];
+    for (x, b) in x.iter().zip(b) {
+        acc = std::array::from_fn(|l| std::array::from_fn(|jj| acc[l][jj] + x[l] * b[l][OFF + jj]));
     }
     acc
 }
@@ -1206,8 +1201,8 @@ mod tests {
     }
 
     /// `(m, rows, cols)` shapes for the colmax kernel tests: tall (`m ≥
-    /// 2·cols`) and wide, with `m % TALL_MR ≠ 0`, `m % WIDE_MR ≠ 0`,
-    /// `rows % TALL_NB ≠ 0`, `rows % WIDE_NR ≠ 0` and `cols % DOT_LANES ≠ 0`
+    /// 2·cols`) and wide, with `m % TALL_MR ≠ 0`, `rows % TALL_NB ≠ 0`,
+    /// `rows % WIDE_NR ≠ 0`, `rows % WIDE_NR_AVX2 ≠ 0` and `cols % DOT_LANES ≠ 0`
     /// tails, single patches and single channels, and the label-dataset
     /// layer geometries at a reduced prototype count.
     const COLMAX_SHAPES: [(usize, usize, usize); 14] = [
@@ -1226,6 +1221,20 @@ mod tests {
         (7, 21, 61),
         (3, 5, 100),
     ];
+
+    /// Whether the running CPU has AVX2. Without it, say on stderr that
+    /// `test` skipped its AVX2 half, so a log shows whether two ISAs were
+    /// compared.
+    fn avx2_or_skip(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let found = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let found = false;
+        if !found {
+            eprintln!("{test}: no AVX2 on this CPU, AVX2 half skipped");
+        }
+        found
+    }
 
     /// Random `rows × cols` panel with planted signed zeros, so the tests
     /// see `-0.0` sums and ties between `+0.0` and `-0.0` maxima.
@@ -1326,11 +1335,11 @@ mod tests {
 
     #[test]
     fn avx2_tall_kernel_is_bit_identical_to_portable() {
+        if !avx2_or_skip("avx2_tall_kernel_is_bit_identical_to_portable") {
+            return;
+        }
         #[cfg(target_arch = "x86_64")]
         {
-            if !std::is_x86_feature_detected!("avx2") {
-                return;
-            }
             let mut rng = rng::std_rng(11);
             let mut pack = Vec::new();
             for &(m, rows, cols) in &COLMAX_SHAPES {
@@ -1392,20 +1401,26 @@ mod tests {
     }
 
     #[test]
-    fn wide_tile_equals_per_pair_dot_lanes() {
+    fn wide_runs_equal_per_pair_dot_lanes() {
+        // One patch against every run of a 16-prototype block, at both run
+        // widths: each sum is the lone multi-lane dot product bit for bit.
         let mut rng = rng::std_rng(17);
         for cols in [1usize, 7, 8, 9, 16, 33, 64, 100] {
-            let x = tall_panel(&mut rng, WIDE_MR, cols);
-            let y = tall_panel(&mut rng, WIDE_NR, cols);
-            let xr: [&[f32]; WIDE_MR] = std::array::from_fn(|p| &x[p * cols..(p + 1) * cols]);
-            let yr: [&[f32]; WIDE_NR] = std::array::from_fn(|q| &y[q * cols..(q + 1) * cols]);
-            let tile = wide_tile(xr, yr);
-            for (p, sums) in tile.iter().enumerate() {
-                for (q, s) in sums.iter().enumerate() {
-                    let d = dot_lanes(xr[p], yr[q]);
-                    assert_eq!(s.to_bits(), d.to_bits(), "cols={cols} p={p} q={q}");
-                }
-            }
+            let x = tall_panel(&mut rng, 1, cols);
+            let y = tall_panel(&mut rng, TALL_NB, cols);
+            let panel = ColmaxPanel::new(&y, cols);
+            let block = &panel.packed.as_chunks::<TALL_NB>().0[..cols];
+            let runs: [&[f32]; 6] = [
+                &wide_run_max::<WIDE_NR, 0>(&x, block),
+                &wide_run_max::<WIDE_NR, WIDE_NR>(&x, block),
+                &wide_run_max::<WIDE_NR, { 2 * WIDE_NR }>(&x, block),
+                &wide_run_max::<WIDE_NR, { 3 * WIDE_NR }>(&x, block),
+                &wide_run_max::<WIDE_NR_AVX2, 0>(&x, block),
+                &wide_run_max::<WIDE_NR_AVX2, WIDE_NR_AVX2>(&x, block),
+            ];
+            let expect: Vec<f32> = y.chunks_exact(cols).map(|row| dot_lanes(&x, row)).collect();
+            assert_eq!(bits(&runs[..4].concat()), bits(&expect), "cols={cols} NR={WIDE_NR}");
+            assert_eq!(bits(&runs[4..].concat()), bits(&expect), "cols={cols} NR={WIDE_NR_AVX2}");
         }
     }
 
@@ -1413,24 +1428,26 @@ mod tests {
     fn wide_kernel_is_bit_identical_to_single_dot_reference() {
         // Portable and (where the CPU has it) AVX2 copies of the wide path
         // against the previous one-dot-at-a-time kernel, on every row
-        // sub-range: shapes cover cols % 8 ≠ 0, m % 2 ≠ 0, rows % 4 ≠ 0.
+        // sub-range: shapes cover cols % 8 ≠ 0 and rows % 4 ≠ 0, and the
+        // planted signed zeros give -0.0 products and ±0 ties.
         let mut rng = rng::std_rng(19);
+        let avx2 = avx2_or_skip("wide_kernel_is_bit_identical_to_single_dot_reference");
         for &(m, rows, cols) in &COLMAX_SHAPES {
             let a = tall_panel(&mut rng, m, cols);
             let b = tall_panel(&mut rng, rows, cols);
+            let panel = ColmaxPanel::new(&b, cols);
             let reference = wide_reference(&a, &b, cols);
             for lo in los(rows) {
                 for len in [rows - lo, (rows - lo).min(3), (rows - lo).min(5), 1] {
-                    let b_sub = &b[lo * cols..(lo + len) * cols];
                     let what = format!("m={m} rows={rows} cols={cols} lo={lo} len={len}");
                     let mut portable = vec![0.0f32; len];
-                    colmax_wide_body(&a, b_sub, cols, &mut portable);
+                    colmax_wide_portable(&a, &panel, lo, &mut portable);
                     assert_eq!(bits(&portable), bits(&reference[lo..lo + len]), "{what}");
                     #[cfg(target_arch = "x86_64")]
-                    if std::is_x86_feature_detected!("avx2") {
+                    if avx2 {
                         let mut avx2 = vec![0.0f32; len];
-                        // SAFETY: AVX2 support was detected on the line above.
-                        unsafe { colmax_wide_avx2(&a, b_sub, cols, &mut avx2) };
+                        // SAFETY: AVX2 support was detected above the loop.
+                        unsafe { colmax_wide_avx2(&a, &panel, lo, &mut avx2) };
                         assert_eq!(bits(&avx2), bits(&portable), "avx2 {what}");
                     }
                 }
@@ -1513,11 +1530,11 @@ mod tests {
 
     #[test]
     fn avx2_gemm_is_bit_identical_to_portable() {
+        if !avx2_or_skip("avx2_gemm_is_bit_identical_to_portable") {
+            return;
+        }
         #[cfg(target_arch = "x86_64")]
         {
-            if !std::is_x86_feature_detected!("avx2") {
-                return;
-            }
             let mut rng = rng::std_rng(13);
             let mut pack = Vec::new();
             let shapes = [1usize, 3, 4, 5, 64].into_iter().flat_map(|m| {

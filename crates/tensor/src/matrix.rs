@@ -287,23 +287,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Horizontally concatenate `self | other` (equal row counts).
-    pub fn hstack(&self, other: &Self) -> Result<Self> {
-        if self.rows != other.rows {
-            return Err(TensorError::ShapeMismatch(format!(
-                "hstack: {} vs {} rows",
-                self.rows, other.rows
-            )));
-        }
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Ok(Self { rows: self.rows, cols, data })
-    }
-
     /// Vertically concatenate `self` on top of `other` (equal column counts).
     pub fn vstack(&self, other: &Self) -> Result<Self> {
         if self.cols != other.cols {
@@ -474,9 +457,6 @@ mod tests {
     #[test]
     fn stacking_round_trip() {
         let m = sample();
-        let h = m.hstack(&m).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(h.col_block(3, 6), m);
         let v = m.vstack(&m).unwrap();
         assert_eq!(v.shape(), (4, 3));
         assert_eq!(v.select_rows(&[2, 3]), m);
@@ -486,7 +466,6 @@ mod tests {
     fn stacking_shape_errors() {
         let m = sample();
         let t = m.transpose();
-        assert!(m.hstack(&t).is_err());
         assert!(m.vstack(&t).is_err());
     }
 
