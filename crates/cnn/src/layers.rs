@@ -113,12 +113,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Input channel count.
-    // goggles-lint: allow(dead-pub): accessor symmetric with the used out_channels; layer-shape introspection API
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
     /// Forward pass; `input` must have `in_channels` channels. Output has
     /// the same spatial size (stride 1, zero padding `k/2`). Runs the
     /// im2col + blocked-GEMM fast path with a throwaway scratch — hot loops

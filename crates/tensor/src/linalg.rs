@@ -19,7 +19,9 @@
 use crate::matrix::Matrix;
 use crate::rng;
 use crate::{Result, TensorError};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide count of [`gemm_bias_relu_f32`] invocations. Two relaxed
 /// adds per call — noise next to the `2·m·k·n` flops of any real
@@ -38,6 +40,38 @@ pub fn gemm_call_count() -> u64 {
 /// Total `2·m·k·n` flops pushed through the GEMM kernel since process start.
 pub fn gemm_flop_count() -> u64 {
     GEMM_FLOPS.load(Ordering::Relaxed)
+}
+
+/// The instruction sets the GEMM and colmax kernels have copies for,
+/// narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Isa {
+    Portable,
+    Avx2,
+    Avx512,
+}
+
+/// The widest kernel copy the running CPU supports, probed on the first
+/// call. `Avx512` needs every feature the AVX-512 copies are compiled for:
+/// `avx512f` and the features it implies (AVX2, FMA, F16C). No copy calls
+/// `mul_add`, and Rust never contracts a multiply and an add, so the FMA
+/// units stay unused and every copy rounds the same way.
+fn isa() -> Isa {
+    static ISA: OnceLock<Isa> = OnceLock::new();
+    *ISA.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::is_x86_feature_detected as has;
+            if has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c") {
+                return Isa::Avx512;
+            }
+            if has!("avx2") {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Portable
+    })
 }
 
 /// Independent accumulator lanes of each dot product on the wide colmax
@@ -61,9 +95,12 @@ const WIDE_NR_AVX2: usize = 8;
 const TALL_MR: usize = 4;
 
 /// Prototypes per block of the packed [`ColmaxPanel`], and columns per
-/// register tile of the AVX2 tall path: `TALL_MR × TALL_NB` accumulators
-/// are eight 256-bit registers, which leaves room for the two prototype
-/// loads and the broadcast weight of a channel step.
+/// register tile of the AVX2 and AVX-512 tall paths. In the AVX2 copy the
+/// `TALL_MR × TALL_NB` accumulators are eight 256-bit registers, which
+/// leaves room for the two prototype loads and the broadcast weight of a
+/// channel step. In the AVX-512 copy a tile row is one 512-bit register,
+/// and two patch tiles run per channel step, so the accumulators are again
+/// eight registers and each prototype load feeds eight multiplies.
 const TALL_NB: usize = 16;
 
 /// Columns per register tile of the portable tall path: half a panel
@@ -194,13 +231,17 @@ impl ColmaxPanel {
 ///   by a fixed tree, seven vertical adds and one more for the tail per
 ///   run, and each patch folds into the running maxima in ascending order.
 ///
-/// **ISA dispatch.** Both paths are compiled twice: portable, and on x86-64
-/// CPUs with AVX2 an AVX2-compiled copy picked at run time (the tall copy
-/// runs the whole 4×16 tile, the portable one two 4×8 halves; the wide
-/// copy runs a block as two 8-prototype halves, the portable one as four
-/// 4-prototype quarters). Neither contracts a multiply-add, and tile shape
-/// does not change any output's summation order, so the copies are
-/// bit-identical.
+/// **ISA dispatch.** The tall path is compiled three times and the wide
+/// path twice; a probe run once per process picks the widest copy the CPU
+/// supports. The tall path runs each block portable as two 4×8 halves,
+/// under AVX2 as one 4×16 tile, and under AVX-512 as one 4×16 tile per
+/// 512-bit row with two patch tiles per channel step, each folded into the
+/// maxima in patch order. The wide path runs a block as four 4-prototype
+/// quarters portable and as two 8-prototype halves under AVX2, also on
+/// AVX-512 CPUs: compiled for AVX-512 at 16 prototypes per lane
+/// accumulator, it ran at 3.2 GFLOP/s, about 9× slower. No copy
+/// contracts a multiply-add, and tile shape does not change any output's
+/// summation or max order, so the copies are bit-identical.
 ///
 /// **Bit-exact maxima.** Patches reach each running maximum in ascending
 /// order, and a later patch replaces it only when strictly greater: ties
@@ -250,22 +291,20 @@ pub fn colmax_matmul_panel_f32(
     }
     let tall = a.len() / cols >= 2 * cols;
     let a_pack: &[f32] = if tall { pack_patches(&mut scratch.a_pack, a, cols) } else { &[] };
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, the only feature the
-        // callees are compiled for; it was detected on the line above.
-        return unsafe {
-            if tall {
-                colmax_tall_avx2(a_pack, panel, lo, out);
-            } else {
-                colmax_wide_avx2(a, panel, lo, out);
-            }
-        };
-    }
-    if tall {
-        colmax_tall_portable(a_pack, panel, lo, out);
-    } else {
-        colmax_wide_portable(a, panel, lo, out);
+    match (isa(), tall) {
+        // SAFETY: `isa()` returns `Avx512` only when the running CPU has
+        // every feature the callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx512, true) => unsafe { colmax_tall_avx512(a_pack, panel, lo, out) },
+        // SAFETY: `isa()` returns `Avx2` only when the running CPU has AVX2.
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx2, true) => unsafe { colmax_tall_avx2(a_pack, panel, lo, out) },
+        // SAFETY: `isa()` returns `Avx2` or `Avx512` only when the running
+        // CPU has AVX2.
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx2 | Isa::Avx512, false) => unsafe { colmax_wide_avx2(a, panel, lo, out) },
+        (_, true) => colmax_tall_portable(a_pack, panel, lo, out),
+        (_, false) => colmax_wide_portable(a, panel, lo, out),
     }
 }
 
@@ -309,11 +348,25 @@ fn colmax_tall_portable(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mu
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
-// is safe code.
+// SAFETY: callers check `isa()` first; the body is safe code.
 unsafe fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
     let tiles = a_pack.as_chunks::<TALL_MR>().0;
     colmax_blocks(panel, lo, out, |block| block_half_max::<TALL_NB, 0>(tiles, block));
+}
+
+/// Tall path compiled with AVX-512 enabled: each panel block runs as one
+/// 4×16 tile, every accumulator row one 512-bit register, two patch tiles
+/// per channel step ([`block_pair_max`]). No multiply-add is fused, so
+/// every multiply and add rounds exactly as in the portable copy.
+///
+/// # Safety
+/// The running CPU must support AVX-512F and the features it implies.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+// SAFETY: callers check `isa()` first; the body is safe code.
+unsafe fn colmax_tall_avx512(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+    let tiles = a_pack.as_chunks::<TALL_MR>().0;
+    colmax_blocks(panel, lo, out, |block| block_pair_max(tiles, block));
 }
 
 /// Wide path, portable copy: each panel block runs as four 4-prototype
@@ -339,8 +392,7 @@ fn colmax_wide_portable(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f3
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
-// is safe code.
+// SAFETY: callers check `isa()` first; the body is safe code.
 unsafe fn colmax_wide_avx2(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
     colmax_blocks(panel, lo, out, |block| {
         let left = wide_run_max::<WIDE_NR_AVX2, 0>(a, block);
@@ -384,6 +436,54 @@ fn block_half_max<const NR: usize, const OFF: usize>(
         fold_tile(&mut best, &tall_tile::<NR, OFF>(tile, block));
     }
     best
+}
+
+/// Maxima over all patches for the 16 prototypes of one panel block, two
+/// patch tiles per channel step: [`tall_tile_pair`] sums both tiles, which
+/// fold into the running maxima one after the other with [`fold_tile`], so
+/// patches reach them in the order [`block_half_max`] feeds them. An odd
+/// last tile runs alone in [`tall_tile`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn block_pair_max(tiles: &[[f32; TALL_MR]], block: &[[f32; TALL_NB]]) -> [f32; TALL_NB] {
+    let mut best = [f32::NEG_INFINITY; TALL_NB];
+    let mut pairs = tiles.chunks_exact(2 * block.len());
+    for pair in &mut pairs {
+        let [first, second] = tall_tile_pair(pair.split_at(block.len()), block);
+        fold_tile(&mut best, &first);
+        fold_tile(&mut best, &second);
+    }
+    let last = pairs.remainder();
+    if !last.is_empty() {
+        fold_tile(&mut best, &tall_tile::<TALL_NB, 0>(last, block));
+    }
+    best
+}
+
+/// [`tall_tile`] over the whole block for two patch tiles at once: both
+/// tiles' `TALL_MR × 16` sums, each over `c` ascending from the first
+/// product, with one prototype load per channel step shared by the two.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn tall_tile_pair(
+    (t0, t1): (&[[f32; TALL_MR]], &[[f32; TALL_MR]]),
+    block: &[[f32; TALL_NB]],
+) -> [[[f32; TALL_NB]; TALL_MR]; 2] {
+    let b0 = &block[0];
+    // `array::from_fn`, not `b0.map`: the map became an out-of-line call
+    // outside the AVX-512 copy, and pool1 ran 3× slower.
+    let first =
+        |w: &[f32; TALL_MR]| std::array::from_fn(|mr| std::array::from_fn(|jj| w[mr] * b0[jj]));
+    let mut acc = [first(&t0[0]), first(&t1[0])];
+    for ((w0, w1), bc) in t0[1..].iter().zip(&t1[1..]).zip(&block[1..]) {
+        for mr in 0..TALL_MR {
+            for jj in 0..TALL_NB {
+                acc[0][mr][jj] += w0[mr] * bc[jj];
+                acc[1][mr][jj] += w1[mr] * bc[jj];
+            }
+        }
+    }
+    acc
 }
 
 /// The `TALL_MR × NR` sums of one patch tile against prototypes
@@ -519,9 +619,19 @@ const GEMM_NB: usize = 8;
 /// is eight 256-bit accumulators, the register budget of the portable tile
 /// at twice the width. On the same geometries it ran 1.9× faster than the
 /// portable 4×8 tile and 1.2× faster than an AVX2 4×8 tile; a 4×24 tile
-/// spills and ran at 0.41×.
+/// spills and ran at 0.41×. The AVX-512 copy runs the columns past the last
+/// multiple of [`GEMM_NB_AVX512`] at this width, each accumulator row one
+/// 512-bit register.
 #[cfg(target_arch = "x86_64")]
 const GEMM_NB_AVX2: usize = 16;
+
+/// Output columns per register tile of the AVX-512 GEMM copy: 4×32 = 128
+/// lanes is eight 512-bit accumulators, the register budget of the other
+/// tiles at twice the AVX2 width. It takes only whole 32-column tiles: a
+/// partial 4×32 tile keeps its accumulators in memory, and on the `n = 16`
+/// conv5 layers it ran about 10× slower than a 16-column tile.
+#[cfg(target_arch = "x86_64")]
+const GEMM_NB_AVX512: usize = 32;
 
 /// Reusable workspace of [`gemm_bias_relu_f32`]: the `A` panel re-packed so
 /// each register tile reads its `GEMM_MR` operands contiguously. Keep one
@@ -555,11 +665,14 @@ pub struct GemmScratch {
 ///   each accumulator sums its `k` terms in ascending-`kk` order from
 ///   `0.0`, so the result is bit-deterministic (same inputs ⇒ same bits,
 ///   any call pattern).
-/// * **ISA dispatch** — the tile loop is compiled twice: portable with
-///   4×8 tiles, and on x86-64 CPUs with AVX2 in an AVX2-compiled copy with
-///   4×16 tiles, picked at run time. Neither contracts a multiply-add, and
-///   tile width does not change any output's summation order, so both
-///   copies are bit-identical.
+/// * **ISA dispatch** — the tile loop is compiled three times: portable
+///   with 4×8 tiles, for AVX2 with 4×16 tiles, and for AVX-512 with 4×32
+///   tiles over the columns up to the last multiple of 32 and 4×16 tiles
+///   (one 512-bit register per row) past it, so the `n = 16` conv5 layers
+///   run 16-column tiles. A probe run once per process picks the widest
+///   copy the CPU supports. No copy contracts a multiply-add, and tile
+///   width does not change any output's summation order, so the copies are
+///   bit-identical.
 ///
 /// # Panics
 /// Panics if `a.len() != m·k`, `b.len() != k·n`, `out.len() != m·n`, or
@@ -588,13 +701,16 @@ pub fn gemm_bias_relu_f32(
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
     GEMM_FLOPS.fetch_add(2 * (m as u64) * (k as u64) * (n as u64), Ordering::Relaxed);
     let a_pack = pack_rows(&mut scratch.a_pack, a, m, k);
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, the only feature the
-        // callee is compiled for; it was detected on the line above.
-        return unsafe { gemm_tiles_avx2(a_pack, b, m, k, n, bias, relu, out) };
+    match isa() {
+        // SAFETY: `isa()` returns `Avx512` only when the running CPU has
+        // every feature the callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { gemm_tiles_avx512(a_pack, b, m, k, n, bias, relu, out) },
+        // SAFETY: `isa()` returns `Avx2` only when the running CPU has AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { gemm_tiles_avx2(a_pack, b, m, k, n, bias, relu, out) },
+        _ => gemm_tiles::<GEMM_NB>(a_pack, b, m, k, n, 0..n, bias, relu, out),
     }
-    gemm_tiles::<GEMM_NB>(a_pack, b, m, k, n, bias, relu, out);
 }
 
 /// Re-pack the `m × k` row-major `a` tile-major into `pack` (layout of
@@ -626,16 +742,16 @@ fn pack_rows<'p>(pack: &'p mut Vec<f32>, a: &[f32], m: usize, k: usize) -> &'p [
 }
 
 /// [`gemm_tiles`] compiled with AVX2 enabled at 4×16 tiles: each
-/// accumulator row of the tile becomes two 256-bit registers. FMA stays
-/// off, so every multiply and add rounds exactly as in the portable copy.
+/// accumulator row of the tile becomes two 256-bit registers. No
+/// multiply-add is fused, so every multiply and add rounds exactly as in
+/// the portable copy.
 ///
 /// # Safety
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-// SAFETY: callers check `is_x86_feature_detected!("avx2")` first; the body
-// is safe code.
+// SAFETY: callers check `isa()` first; the body is safe code.
 unsafe fn gemm_tiles_avx2(
     a_pack: &[f32],
     b: &[f32],
@@ -646,16 +762,22 @@ unsafe fn gemm_tiles_avx2(
     relu: bool,
     out: &mut [f32],
 ) {
-    gemm_tiles::<GEMM_NB_AVX2>(a_pack, b, m, k, n, bias, relu, out);
+    gemm_tiles::<GEMM_NB_AVX2>(a_pack, b, m, k, n, 0..n, bias, relu, out);
 }
 
-/// Register-tiled GEMM over a packed `a`, inlined into each ISA's copy
-/// (called directly at `NB = GEMM_NB`, it is the portable copy): for each
-/// `GEMM_MR`-row block and each `NB`-column tile of `b`, sum the tile in
-/// [`gemm_tile`], then apply the bias + ReLU epilogue as it is stored.
-#[inline(always)]
+/// [`gemm_tiles`] compiled with AVX-512 enabled: 4×32 tiles over the
+/// columns up to the last multiple of 32, each accumulator row two 512-bit
+/// registers, then 4×16 tiles, one register per row, over the rest. No
+/// multiply-add is fused, so every multiply and add rounds exactly as in
+/// the portable copy.
+///
+/// # Safety
+/// The running CPU must support AVX-512F and the features it implies.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tiles<const NB: usize>(
+// SAFETY: callers check `isa()` first; the body is safe code.
+unsafe fn gemm_tiles_avx512(
     a_pack: &[f32],
     b: &[f32],
     m: usize,
@@ -665,12 +787,35 @@ fn gemm_tiles<const NB: usize>(
     relu: bool,
     out: &mut [f32],
 ) {
+    let whole = n - n % GEMM_NB_AVX512;
+    gemm_tiles::<GEMM_NB_AVX512>(a_pack, b, m, k, n, 0..whole, bias, relu, out);
+    gemm_tiles::<GEMM_NB_AVX2>(a_pack, b, m, k, n, whole..n, bias, relu, out);
+}
+
+/// Register-tiled GEMM over a packed `a`, inlined into each ISA's copy
+/// (called directly at `NB = GEMM_NB`, it is the portable copy): for each
+/// `GEMM_MR`-row block and each `NB`-column tile of output columns `cols`
+/// (a sub-range of `0..n`), sum the tile in [`gemm_tile`], then apply the
+/// bias + ReLU epilogue as it is stored.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_tiles<const NB: usize>(
+    a_pack: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+    bias: &[f32],
+    relu: bool,
+    out: &mut [f32],
+) {
     for i in 0..m.div_ceil(GEMM_MR) {
         let block = &a_pack[i * GEMM_MR * k..(i + 1) * GEMM_MR * k];
         let rows = GEMM_MR.min(m - i * GEMM_MR);
-        let mut j0 = 0;
-        while j0 < n {
-            let nb = NB.min(n - j0);
+        let mut j0 = cols.start;
+        while j0 < cols.end {
+            let nb = NB.min(cols.end - j0);
             let acc = gemm_tile::<NB>(block, b, n, j0, nb);
             for mr in 0..rows {
                 let row = i * GEMM_MR + mr;
@@ -1203,9 +1348,13 @@ mod tests {
     /// `(m, rows, cols)` shapes for the colmax kernel tests: tall (`m ≥
     /// 2·cols`) and wide, with `m % TALL_MR ≠ 0`, `rows % TALL_NB ≠ 0`,
     /// `rows % WIDE_NR ≠ 0`, `rows % WIDE_NR_AVX2 ≠ 0` and `cols % DOT_LANES ≠ 0`
-    /// tails, single patches and single channels, and the label-dataset
-    /// layer geometries at a reduced prototype count.
-    const COLMAX_SHAPES: [(usize, usize, usize); 14] = [
+    /// tails, patch counts with an odd number of `TALL_MR`-patch tiles (the
+    /// AVX-512 tall path's lone last tile), single patches and single
+    /// channels (where `tall_panel`'s planted zero prototypes make every
+    /// sum a signed zero, so the maxima depend on the order patches fold
+    /// in), and the label-dataset layer geometries at a reduced prototype
+    /// count.
+    const COLMAX_SHAPES: [(usize, usize, usize); 19] = [
         (64, 24, 8),
         (37, 29, 5),
         (130, 17, 16),
@@ -1220,18 +1369,20 @@ mod tests {
         (4, 43, 64),
         (7, 21, 61),
         (3, 5, 100),
+        (12, 33, 4),
+        (18, 48, 7),
+        (1028, 65, 8),
+        (68, 31, 32),
+        (40, 20, 1),
     ];
 
-    /// Whether the running CPU has AVX2. Without it, say on stderr that
-    /// `test` skipped its AVX2 half, so a log shows whether two ISAs were
-    /// compared.
-    fn avx2_or_skip(test: &str) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        let found = std::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let found = false;
+    /// Whether the kernel probe picked `want` or a wider copy, so the `want`
+    /// copies may run. Without it, say on stderr that `test` skipped its
+    /// `want` half, so a log shows whether two ISAs were compared.
+    fn isa_or_skip(test: &str, want: Isa) -> bool {
+        let found = isa() >= want;
         if !found {
-            eprintln!("{test}: no AVX2 on this CPU, AVX2 half skipped");
+            eprintln!("{test}: no {want:?} on this CPU, {want:?} half skipped");
         }
         found
     }
@@ -1333,36 +1484,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn avx2_tall_kernel_is_bit_identical_to_portable() {
-        if !avx2_or_skip("avx2_tall_kernel_is_bit_identical_to_portable") {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let mut rng = rng::std_rng(11);
-            let mut pack = Vec::new();
-            for &(m, rows, cols) in &COLMAX_SHAPES {
-                let a = tall_panel(&mut rng, m, cols);
-                let b = tall_panel(&mut rng, rows, cols);
-                let panel = ColmaxPanel::new(&b, cols);
-                let packed = pack_patches(&mut pack, &a, cols);
-                let mut full = vec![0.0f32; rows];
-                colmax_tall_portable(packed, &panel, 0, &mut full);
-                for lo in los(rows) {
-                    for len in [rows - lo, (rows - lo).min(11), (rows - lo).min(16), 1] {
-                        let mut portable = vec![0.0f32; len];
-                        colmax_tall_portable(packed, &panel, lo, &mut portable);
-                        let mut avx2 = vec![0.0f32; len];
-                        // SAFETY: AVX2 support was detected at the top of the test.
-                        unsafe { colmax_tall_avx2(packed, &panel, lo, &mut avx2) };
-                        let what = format!("m={m} rows={rows} cols={cols} lo={lo} len={len}");
-                        assert_eq!(bits(&portable), bits(&avx2), "{what}");
-                        assert_eq!(bits(&portable), bits(&full[lo..lo + len]), "{what}");
-                    }
+    /// A tall-path copy against the portable one on every `COLMAX_SHAPES`
+    /// entry and row sub-range, bit for bit; the portable sub-ranges also
+    /// against the full portable result.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_tall_copy_matches_portable(
+        seed: u64,
+        copy: impl Fn(&[f32], &ColmaxPanel, usize, &mut [f32]),
+    ) {
+        let mut rng = rng::std_rng(seed);
+        let mut pack = Vec::new();
+        for &(m, rows, cols) in &COLMAX_SHAPES {
+            let a = tall_panel(&mut rng, m, cols);
+            let b = tall_panel(&mut rng, rows, cols);
+            let panel = ColmaxPanel::new(&b, cols);
+            let packed = pack_patches(&mut pack, &a, cols);
+            let mut full = vec![0.0f32; rows];
+            colmax_tall_portable(packed, &panel, 0, &mut full);
+            for lo in los(rows) {
+                for len in [rows - lo, (rows - lo).min(11), (rows - lo).min(16), 1] {
+                    let mut portable = vec![0.0f32; len];
+                    colmax_tall_portable(packed, &panel, lo, &mut portable);
+                    let mut got = vec![0.0f32; len];
+                    copy(packed, &panel, lo, &mut got);
+                    let what = format!("m={m} rows={rows} cols={cols} lo={lo} len={len}");
+                    assert_eq!(bits(&portable), bits(&got), "{what}");
+                    assert_eq!(bits(&portable), bits(&full[lo..lo + len]), "{what}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn avx2_tall_kernel_is_bit_identical_to_portable() {
+        if !isa_or_skip("avx2_tall_kernel_is_bit_identical_to_portable", Isa::Avx2) {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_tall_copy_matches_portable(11, |a_pack, panel, lo, out| {
+            // SAFETY: AVX2 support was detected at the top of the test.
+            unsafe { colmax_tall_avx2(a_pack, panel, lo, out) }
+        });
+    }
+
+    #[test]
+    fn avx512_tall_kernel_is_bit_identical_to_portable() {
+        if !isa_or_skip("avx512_tall_kernel_is_bit_identical_to_portable", Isa::Avx512) {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_tall_copy_matches_portable(23, |a_pack, panel, lo, out| {
+            // SAFETY: AVX-512 support was detected at the top of the test.
+            unsafe { colmax_tall_avx512(a_pack, panel, lo, out) }
+        });
     }
 
     /// The multi-lane dot product of the previous wide kernel:
@@ -1431,7 +1605,7 @@ mod tests {
         // sub-range: shapes cover cols % 8 ≠ 0 and rows % 4 ≠ 0, and the
         // planted signed zeros give -0.0 products and ±0 ties.
         let mut rng = rng::std_rng(19);
-        let avx2 = avx2_or_skip("wide_kernel_is_bit_identical_to_single_dot_reference");
+        let avx2 = isa_or_skip("wide_kernel_is_bit_identical_to_single_dot_reference", Isa::Avx2);
         for &(m, rows, cols) in &COLMAX_SHAPES {
             let a = tall_panel(&mut rng, m, cols);
             let b = tall_panel(&mut rng, rows, cols);
@@ -1496,9 +1670,9 @@ mod tests {
 
     #[test]
     fn gemm_matches_reference_on_awkward_shapes() {
-        // Shapes exercising the MR tail, every tail of both tile widths
-        // (8 portable, 16 AVX2), k = 0, and the backbone's trunk
-        // geometries. Each output sums its k products in ascending order
+        // Shapes exercising the MR tail, every tail of the tile widths
+        // (8 portable, 16 AVX2, 32 AVX-512), k = 0, and the backbone's
+        // trunk geometries. Each output sums its k products in ascending order
         // from 0.0, as the reference does, so they agree bit for bit.
         let mut rng = rng::std_rng(99);
         for &(m, k, n) in &[
@@ -1514,6 +1688,10 @@ mod tests {
             (5, 11, 16),
             (5, 11, 17),
             (5, 11, 31),
+            (5, 11, 32),
+            (5, 11, 33),
+            (5, 11, 48),
+            (5, 11, 63),
             (8, 27, 4096),
             (32, 288, 256),
             (64, 576, 64),
@@ -1528,42 +1706,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn avx2_gemm_is_bit_identical_to_portable() {
-        if !avx2_or_skip("avx2_gemm_is_bit_identical_to_portable") {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let mut rng = rng::std_rng(13);
-            let mut pack = Vec::new();
-            let shapes = [1usize, 3, 4, 5, 64].into_iter().flat_map(|m| {
-                [0usize, 1, 27, 576]
-                    .into_iter()
-                    .flat_map(move |k| [1usize, 7, 8, 9, 15, 16, 17, 33, 4096].map(|n| (m, k, n)))
-            });
-            for (m, k, n) in shapes {
-                let a = tall_panel(&mut rng, m, k);
-                let b = tall_panel(&mut rng, k, n);
-                let packed = pack_rows(&mut pack, &a, m, k);
-                let unbiased = vec![0.0f32; m];
-                let biased: Vec<f32> = (0..m).map(|_| rng::normal(&mut rng) as f32).collect();
-                for (with_bias, bias) in [(false, &unbiased), (true, &biased)] {
-                    for relu in [false, true] {
-                        let mut portable = vec![f32::NAN; m * n];
-                        gemm_tiles::<GEMM_NB>(packed, &b, m, k, n, bias, relu, &mut portable);
-                        let mut avx2 = vec![f32::NAN; m * n];
-                        // SAFETY: AVX2 support was detected at the top of the test.
-                        unsafe { gemm_tiles_avx2(packed, &b, m, k, n, bias, relu, &mut avx2) };
-                        assert_eq!(
-                            bits(&portable),
-                            bits(&avx2),
-                            "m={m} k={k} n={n} bias={with_bias} relu={relu}"
-                        );
-                    }
+    /// The `(m, k, n)` grid of the GEMM copy tests: every `GEMM_MR` tail,
+    /// `k = 0`, and every tail of the 8-, 16- and 32-column tiles.
+    #[cfg(target_arch = "x86_64")]
+    fn gemm_grid() -> impl Iterator<Item = (usize, usize, usize)> {
+        [1usize, 3, 4, 5, 64].into_iter().flat_map(|m| {
+            [0usize, 1, 27, 576].into_iter().flat_map(move |k| {
+                [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 63, 65, 4096].map(|n| (m, k, n))
+            })
+        })
+    }
+
+    /// The arguments of a GEMM tile-loop copy after the packed `a`: `b`,
+    /// `m`, `k`, `n`, the bias, the ReLU flag and the output.
+    #[cfg(target_arch = "x86_64")]
+    type GemmArgs<'x> = (&'x [f32], usize, usize, usize, &'x [f32], bool, &'x mut [f32]);
+
+    /// A GEMM tile-loop copy against the portable one on [`gemm_grid`],
+    /// with and without bias and ReLU, bit for bit.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_gemm_copy_matches_portable(seed: u64, copy: impl Fn(&[f32], GemmArgs<'_>)) {
+        let mut rng = rng::std_rng(seed);
+        let mut pack = Vec::new();
+        for (m, k, n) in gemm_grid() {
+            let a = tall_panel(&mut rng, m, k);
+            let b = tall_panel(&mut rng, k, n);
+            let packed = pack_rows(&mut pack, &a, m, k);
+            let unbiased = vec![0.0f32; m];
+            let biased: Vec<f32> = (0..m).map(|_| rng::normal(&mut rng) as f32).collect();
+            for (with_bias, bias) in [(false, &unbiased), (true, &biased)] {
+                for relu in [false, true] {
+                    let mut portable = vec![f32::NAN; m * n];
+                    gemm_tiles::<GEMM_NB>(packed, &b, m, k, n, 0..n, bias, relu, &mut portable);
+                    let mut got = vec![f32::NAN; m * n];
+                    copy(packed, (&b, m, k, n, bias, relu, &mut got));
+                    let what = format!("m={m} k={k} n={n} bias={with_bias} relu={relu}");
+                    assert_eq!(bits(&portable), bits(&got), "{what}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn avx2_gemm_is_bit_identical_to_portable() {
+        if !isa_or_skip("avx2_gemm_is_bit_identical_to_portable", Isa::Avx2) {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_gemm_copy_matches_portable(13, |a_pack, (b, m, k, n, bias, relu, out)| {
+            // SAFETY: AVX2 support was detected at the top of the test.
+            unsafe { gemm_tiles_avx2(a_pack, b, m, k, n, bias, relu, out) }
+        });
+    }
+
+    #[test]
+    fn avx512_gemm_is_bit_identical_to_portable() {
+        if !isa_or_skip("avx512_gemm_is_bit_identical_to_portable", Isa::Avx512) {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_gemm_copy_matches_portable(29, |a_pack, (b, m, k, n, bias, relu, out)| {
+            // SAFETY: AVX-512 support was detected at the top of the test.
+            unsafe { gemm_tiles_avx512(a_pack, b, m, k, n, bias, relu, out) }
+        });
     }
 
     #[test]
