@@ -44,23 +44,6 @@ impl LabelMatrix {
         Ok(Self { votes, n, m, num_classes })
     }
 
-    /// Build by evaluating `lfs` (closures) on instance indices `0..n`.
-    // goggles-lint: allow(dead-pub): LabelMatrix constructor from raw votes, pairing with the exported new; exercised only by unit tests
-    pub fn from_lfs(
-        n: usize,
-        num_classes: usize,
-        lfs: &[Box<dyn Fn(usize) -> i64>],
-    ) -> Result<Self> {
-        let m = lfs.len();
-        let mut votes = Vec::with_capacity(n * m);
-        for i in 0..n {
-            for lf in lfs {
-                votes.push(lf(i));
-            }
-        }
-        Self::new(n, m, num_classes, votes)
-    }
-
     /// Number of instances.
     pub fn n(&self) -> usize {
         self.n
@@ -88,65 +71,10 @@ impl LabelMatrix {
         &self.votes[i * self.m..(i + 1) * self.m]
     }
 
-    /// Fraction of instances on which LF `j` does not abstain.
-    // goggles-lint: allow(dead-pub): Snorkel-style LF diagnostic the paper's baselines report; exercised only by unit tests
-    pub fn coverage(&self, j: usize) -> f64 {
-        let non_abstain = (0..self.n).filter(|&i| self.vote(i, j) != ABSTAIN).count();
-        non_abstain as f64 / self.n as f64
-    }
-
     /// Fraction of instances where at least one LF votes.
     pub fn total_coverage(&self) -> f64 {
         let covered = (0..self.n).filter(|&i| self.row(i).iter().any(|&v| v != ABSTAIN)).count();
         covered as f64 / self.n as f64
-    }
-
-    /// Fraction of instances where two non-abstaining LFs disagree.
-    // goggles-lint: allow(dead-pub): Snorkel-style LF diagnostic the paper's baselines report; exercised only by unit tests
-    pub fn conflict_rate(&self) -> f64 {
-        let mut conflicts = 0usize;
-        for i in 0..self.n {
-            let row = self.row(i);
-            let mut first: Option<i64> = None;
-            let mut conflict = false;
-            for &v in row {
-                if v == ABSTAIN {
-                    continue;
-                }
-                match first {
-                    None => first = Some(v),
-                    Some(f) if f != v => {
-                        conflict = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            if conflict {
-                conflicts += 1;
-            }
-        }
-        conflicts as f64 / self.n as f64
-    }
-
-    /// Empirical accuracy of LF `j` against ground truth, over its covered
-    /// instances (None if it always abstains).
-    // goggles-lint: allow(dead-pub): Snorkel-style LF diagnostic the paper's baselines report; exercised only by unit tests
-    pub fn empirical_accuracy(&self, j: usize, truth: &[usize]) -> Option<f64> {
-        assert_eq!(truth.len(), self.n);
-        let mut correct = 0usize;
-        let mut covered = 0usize;
-        for i in 0..self.n {
-            let v = self.vote(i, j);
-            if v == ABSTAIN {
-                continue;
-            }
-            covered += 1;
-            if v == truth[i] as i64 {
-                correct += 1;
-            }
-        }
-        (covered > 0).then(|| correct as f64 / covered as f64)
     }
 
     /// Majority-vote probabilistic labels: per instance, the normalized
@@ -208,22 +136,11 @@ mod tests {
     #[test]
     fn coverage_and_conflicts() {
         let lm = sample();
-        assert!((lm.coverage(0) - 0.75).abs() < 1e-12);
-        assert!((lm.coverage(1) - 0.5).abs() < 1e-12);
+        // instance 2 is the only one where every LF abstains
         assert!((lm.total_coverage() - 0.75).abs() < 1e-12);
-        // only instance 3 has disagreeing non-abstain votes
-        assert!((lm.conflict_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_accuracy_against_truth() {
-        let lm = sample();
-        let truth = vec![0, 1, 0, 1];
-        assert_eq!(lm.empirical_accuracy(0, &truth), Some(2.0 / 3.0));
-        assert_eq!(lm.empirical_accuracy(1, &truth), Some(1.0));
-        // an always-abstaining LF
-        let lm2 = LabelMatrix::new(2, 1, 2, vec![ABSTAIN, ABSTAIN]).unwrap();
-        assert_eq!(lm2.empirical_accuracy(0, &[0, 1]), None);
+        // instance 3's non-abstain votes disagree (0 vs 1, 1): it is covered
+        // but split in the vote
+        assert!(lm.row(3).contains(&0) && lm.row(3).contains(&1));
     }
 
     #[test]
@@ -234,15 +151,5 @@ mod tests {
         assert_eq!(mv.row(1), &[0.0, 1.0]);
         assert_eq!(mv.row(2), &[0.5, 0.5]); // all abstain → uniform
         assert!((mv.row(3)[1] - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_lfs_evaluates_closures() {
-        let lfs: Vec<Box<dyn Fn(usize) -> i64>> =
-            vec![Box::new(|i| if i % 2 == 0 { 0 } else { 1 }), Box::new(|_| ABSTAIN)];
-        let lm = LabelMatrix::from_lfs(4, 2, &lfs).unwrap();
-        assert_eq!(lm.vote(2, 0), 0);
-        assert_eq!(lm.vote(1, 1), ABSTAIN);
-        assert_eq!(lm.coverage(1), 0.0);
     }
 }

@@ -96,39 +96,6 @@ impl SnorkelModel {
     pub fn hard_labels(&self) -> Vec<usize> {
         (0..self.probs.rows()).map(|i| goggles_tensor::argmax(self.probs.row(i))).collect()
     }
-
-    /// Derived per-LF accuracy `P(vote = y | y, vote ≠ abstain)` averaged
-    /// over classes — the quantity Snorkel reports.
-    // goggles-lint: allow(dead-pub): fitted-parameter accessor of the generative model; exercised only by unit tests
-    pub fn accuracies(&self) -> Vec<f64> {
-        let k = self.class_priors.len();
-        self.thetas
-            .iter()
-            .map(|theta| {
-                let mut acc = 0.0;
-                let mut weight = 0.0;
-                for c in 0..k {
-                    let fire: f64 = (1..=k).map(|v| theta[(c, v)]).sum();
-                    if fire > 1e-12 {
-                        acc += self.class_priors[c] * theta[(c, 1 + c)] / fire;
-                        weight += self.class_priors[c];
-                    }
-                }
-                if weight > 0.0 {
-                    acc / weight
-                } else {
-                    0.5
-                }
-            })
-            .collect()
-    }
-
-    /// Derived per-LF, per-class firing propensity `P(vote ≠ abstain | y)`.
-    // goggles-lint: allow(dead-pub): fitted-parameter accessor of the generative model; exercised only by unit tests
-    pub fn propensities(&self) -> Vec<Vec<f64>> {
-        let k = self.class_priors.len();
-        self.thetas.iter().map(|theta| (0..k).map(|c| 1.0 - theta[(c, 0)]).collect()).collect()
-    }
 }
 
 /// Column of the vote table for a raw vote value.
@@ -205,6 +172,40 @@ mod tests {
         (LabelMatrix::new(n, acc.len(), 2, votes).unwrap(), truth)
     }
 
+    /// Per-LF accuracy `P(vote = y | y, vote ≠ abstain)` read off the
+    /// fitted vote tables, averaged over classes — the quantity Snorkel
+    /// reports.
+    fn accuracies(model: &SnorkelModel) -> Vec<f64> {
+        let k = model.class_priors.len();
+        model
+            .thetas
+            .iter()
+            .map(|theta| {
+                let mut acc = 0.0;
+                let mut weight = 0.0;
+                for c in 0..k {
+                    let fire: f64 = (1..=k).map(|v| theta[(c, v)]).sum();
+                    if fire > 1e-12 {
+                        acc += model.class_priors[c] * theta[(c, 1 + c)] / fire;
+                        weight += model.class_priors[c];
+                    }
+                }
+                if weight > 0.0 {
+                    acc / weight
+                } else {
+                    0.5
+                }
+            })
+            .collect()
+    }
+
+    /// Per-LF, per-class firing propensity `P(vote ≠ abstain | y)` read off
+    /// the fitted vote tables.
+    fn propensities(model: &SnorkelModel) -> Vec<Vec<f64>> {
+        let k = model.class_priors.len();
+        model.thetas.iter().map(|theta| (0..k).map(|c| 1.0 - theta[(c, 0)]).collect()).collect()
+    }
+
     fn accuracy_of(labels: &[usize], truth: &[usize]) -> f64 {
         labels.iter().zip(truth).filter(|(a, b)| a == b).count() as f64 / truth.len() as f64
     }
@@ -221,7 +222,7 @@ mod tests {
     fn learned_accuracies_track_true_accuracies() {
         let (lm, _) = simulate(2000, &[0.9, 0.9, 0.9, 0.6], &[1.0, 1.0, 1.0, 1.0], 2);
         let model = SnorkelModel::fit(&lm, 200, 1e-8).unwrap();
-        let accs = model.accuracies();
+        let accs = accuracies(&model);
         for good in &accs[..3] {
             assert!(*good > accs[3] + 0.1, "good {good} vs weak {} ({accs:?})", accs[3]);
         }
@@ -254,7 +255,7 @@ mod tests {
     fn propensities_match_coverage() {
         let (lm, _) = simulate(1000, &[0.8, 0.8], &[0.9, 0.3], 3);
         let model = SnorkelModel::fit(&lm, 50, 1e-6).unwrap();
-        let props = model.propensities();
+        let props = propensities(&model);
         let avg0 = (props[0][0] + props[0][1]) / 2.0;
         let avg1 = (props[1][0] + props[1][1]) / 2.0;
         assert!((avg0 - 0.9).abs() < 0.05, "avg0 = {avg0}");

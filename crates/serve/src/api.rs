@@ -178,14 +178,14 @@ impl Labeler for FittedLabeler {
     /// In-process submission: the image is labeled immediately on the
     /// calling thread and the ticket comes back already resolved. Responses
     /// report `version` 0 (no registry behind a bare labeler) and
-    /// `batch_size` 1. Non-finite pixels are refused as
+    /// `batch_size` 1. Pixels outside `[0, 1]` are refused as
     /// [`ServeError::InvalidImage`], as by every other labeler.
     fn submit_with_deadline(
         &self,
         image: Arc<Image>,
         deadline: Option<Instant>,
     ) -> ServeResult<Ticket> {
-        crate::check_finite_pixels(&image)?;
+        crate::check_pixels(&image)?;
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(Ticket::ready(Err(ServeError::Deadline)));
         }
@@ -197,7 +197,7 @@ impl Labeler for FittedLabeler {
     /// borrowed image directly — no pixel-buffer clone into a throwaway
     /// `Arc`.
     fn label(&self, image: &Image) -> ServeResult<LabelResponse> {
-        crate::check_finite_pixels(image)?;
+        crate::check_pixels(image)?;
         let (label, probs) = self.label_one(image);
         Ok(LabelResponse { label, probs, batch_size: 1, version: 0 })
     }

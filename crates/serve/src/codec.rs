@@ -1,4 +1,5 @@
-//! Minimal, dependency-free binary codec for snapshot persistence.
+//! Minimal, dependency-free binary codec for snapshot persistence and the
+//! wire protocol.
 //!
 //! Everything is little-endian and length-prefixed; floats are bit-exact
 //! (`to_le_bytes`/`from_le_bytes`), so `save → load → save` is byte-for-byte
@@ -58,10 +59,6 @@ impl Writer {
         self.put_u8(u8::from(v));
     }
 
-    pub(crate) fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -116,48 +113,13 @@ impl Writer {
         }
     }
 
-    /// Raw (no length prefix) `f32` payload — v2 snapshot fields whose
-    /// length the schema implies from the header.
+    /// Raw (no length prefix) `f32` payload — wire image pixels, whose
+    /// count the frame implies from the image shape.
     pub(crate) fn put_f32_slice_raw(&mut self, vs: &[f32]) {
         for &v in vs {
             self.put_f32(v);
         }
     }
-
-    /// Raw `f64` payload narrowed to `f32` — the v2 storage for GMM and
-    /// ensemble parameters (half the bytes of [`Writer::put_f64_slice`]).
-    /// Narrow → widen → narrow is idempotent, so v2 `save → load → save`
-    /// stays byte-stable.
-    pub(crate) fn put_f64_slice_as_f32_raw(&mut self, vs: &[f64]) {
-        for &v in vs {
-            self.put_f32(v as f32);
-        }
-    }
-
-    /// Raw `f32` payload quantized to `u16` on the fixed `[-1, 1]` grid
-    /// (see [`quantize_unit`]) — the v2 prototype-bank storage behind the
-    /// quantization flag. Values outside `[-1, 1]` saturate; prototype rows
-    /// are L2-normalized so none exist in practice.
-    pub(crate) fn put_quantized_slice_raw(&mut self, vs: &[f32]) {
-        for &v in vs {
-            self.put_u16(quantize_unit(v));
-        }
-    }
-}
-
-/// Quantize a value in `[-1, 1]` onto a fixed 16-bit grid (out-of-range
-/// values saturate). The grid is format-level (no per-tensor min/max), so
-/// re-encoding a dequantized value always returns the same code — quantized
-/// snapshots round-trip byte-stably.
-pub(crate) fn quantize_unit(v: f32) -> u16 {
-    let x = ((f64::from(v) + 1.0) / 2.0 * 65535.0).round();
-    // NaN saturates to 0 via the as-cast; prototypes are never NaN.
-    x.clamp(0.0, 65535.0) as u16
-}
-
-/// Inverse of [`quantize_unit`]: grid code → `f32` value in `[-1, 1]`.
-pub(crate) fn dequantize_unit(q: u16) -> f32 {
-    (f64::from(q) / 65535.0 * 2.0 - 1.0) as f32
 }
 
 /// Cursor over a byte slice with checked reads.
@@ -214,10 +176,6 @@ impl<'a> Reader<'a> {
             1 => Ok(true),
             v => Err(ServeError::Snapshot(format!("invalid bool byte {v}"))),
         }
-    }
-
-    pub fn get_u16(&mut self) -> ServeResult<u16> {
-        Ok(u16::from_le_bytes(self.take_array::<2>()?))
     }
 
     pub fn get_u32(&mut self) -> ServeResult<u32> {
@@ -302,8 +260,8 @@ impl<'a> Reader<'a> {
             .map_err(|e| ServeError::Snapshot(format!("matrix decode: {e}")))
     }
 
-    /// A `u32` length that is also sanity-bounded — the v2 counterpart of
-    /// [`Reader::get_len`] (v2 stores structural integers as `u32`).
+    /// A `u32` length that is also sanity-bounded — the counterpart of
+    /// [`Reader::get_len`] for `u32` fields (wire image shapes and counts).
     pub fn get_len_u32(&mut self, max: usize) -> ServeResult<usize> {
         let v = self.get_u32()? as usize;
         if v > max {
@@ -315,7 +273,7 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    /// Exactly `len` raw `f32`s (no prefix; the v2 schema implies lengths).
+    /// Exactly `len` raw `f32`s (no prefix; the caller implies the length).
     /// Bounded by the remaining payload before any allocation.
     pub fn get_f32_vec(&mut self, len: usize) -> ServeResult<Vec<f32>> {
         if len > self.remaining() / 4 {
@@ -326,27 +284,6 @@ impl<'a> Reader<'a> {
         let mut data = Vec::with_capacity(len);
         for _ in 0..len {
             data.push(self.get_f32()?);
-        }
-        Ok(data)
-    }
-
-    /// Exactly `len` raw `f32`s widened to `f64` — inverse of
-    /// [`Writer::put_f64_slice_as_f32_raw`].
-    pub(crate) fn get_f32_vec_as_f64(&mut self, len: usize) -> ServeResult<Vec<f64>> {
-        Ok(self.get_f32_vec(len)?.into_iter().map(f64::from).collect())
-    }
-
-    /// Exactly `len` `u16` grid codes dequantized from the fixed `[-1, 1]`
-    /// grid — inverse of `Writer::put_quantized_slice_raw`.
-    pub fn get_quantized_vec(&mut self, len: usize) -> ServeResult<Vec<f32>> {
-        if len > self.remaining() / 2 {
-            return Err(ServeError::Snapshot(format!(
-                "quantized payload of {len} values larger than remaining snapshot"
-            )));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(dequantize_unit(self.get_u16()?));
         }
         Ok(data)
     }
@@ -414,55 +351,22 @@ mod tests {
     }
 
     #[test]
-    fn unit_grid_quantization_is_idempotent_and_bounded() {
-        // Every grid code survives a dequantize → requantize round trip —
-        // the property that makes quantized v2 snapshots byte-stable.
-        for q in [0u16, 1, 2, 32767, 32768, 65534, 65535] {
-            assert_eq!(quantize_unit(dequantize_unit(q)), q, "code {q}");
-        }
-        for q in (0..=65535u16).step_by(17) {
-            assert_eq!(quantize_unit(dequantize_unit(q)), q, "code {q}");
-        }
-        // step size bounds the quantization error
-        let step = 2.0 / 65535.0;
-        for &v in &[-1.0f32, -0.731, -0.0001, 0.0, 0.5, 0.999, 1.0] {
-            let err = (f64::from(dequantize_unit(quantize_unit(v))) - f64::from(v)).abs();
-            assert!(err <= step / 2.0 + 1e-9, "v = {v}: err {err}");
-        }
-        // out-of-range values saturate
-        assert_eq!(quantize_unit(-2.0), 0);
-        assert_eq!(quantize_unit(7.5), 65535);
-    }
-
-    #[test]
-    fn raw_f32_and_quantized_payloads_round_trip() {
-        let xs64 = [0.125f64, -3.5, 1e-3, 0.75];
-        let xsf = [0.5f32, -0.25, 0.0, 1.0, -1.0, 0.333];
+    fn raw_f32_payloads_round_trip_and_are_bounded() {
+        let xs = [0.5f32, -0.25, 0.0, 1.0, f32::MIN_POSITIVE];
         let mut w = Writer::new();
-        w.put_f64_slice_as_f32_raw(&xs64);
-        w.put_quantized_slice_raw(&xsf);
+        w.put_f32_slice_raw(&xs);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        let back64 = r.get_f32_vec_as_f64(xs64.len()).unwrap();
-        for (a, b) in back64.iter().zip(&xs64) {
-            assert_eq!(*a, f64::from(*b as f32), "widening must be exact");
-        }
-        let backf = r.get_quantized_vec(xsf.len()).unwrap();
-        for (a, b) in backf.iter().zip(&xsf) {
-            assert!((a - b).abs() <= 2.0 / 65535.0, "{a} vs {b}");
-        }
+        assert_eq!(r.get_f32_vec(xs.len()).unwrap(), xs);
         assert_eq!(r.remaining(), 0);
         // truncated payloads are errors (bounded before allocation), not panics
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            if r.get_f32_vec_as_f64(xs64.len()).is_ok() {
-                assert!(r.get_quantized_vec(xsf.len()).is_err(), "cut {cut}");
-            }
+            assert!(r.get_f32_vec(xs.len()).is_err(), "cut {cut}");
         }
         // oversized requested lengths are rejected before allocating
         let mut r = Reader::new(&bytes);
         assert!(r.get_f32_vec(usize::MAX / 8).is_err());
-        assert!(r.get_quantized_vec(usize::MAX / 8).is_err());
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //!    `publish`/`rollback` under live traffic (workers resolve the current
 //!    version per batch, no lock held across labeling),
 //!    [`LabelService::reload_from`] for hot-reloading snapshot files, and
-//!    per-version serve counters. Snapshots come in two formats
-//!    ([`SnapshotFormat`]): v1 (lossless `f64`, byte-exact reloads) and v2
-//!    (compact `f32` with optional u16-quantized prototype bank — under
-//!    half the bytes, argmax-preserving) — both validated at load/publish
-//!    time so corrupt artifacts are rejected before they can serve.
+//!    per-version serve counters. Snapshots have one lossless format (v1:
+//!    every parameter as `f64`, so reloads are bit-exact), validated at
+//!    load/publish time so corrupt artifacts are rejected before they can
+//!    serve.
 //! 5. **Transport-agnostic API + network front** — the [`Labeler`] trait
 //!    (`submit`/`label`/`label_all`) is implemented by the in-process
 //!    [`FittedLabeler`], the [`LabelService`], and the TCP client
@@ -78,7 +77,7 @@ pub use registry::{PublishedSnapshot, SnapshotRegistry, VersionInfo};
 pub use server::{IngestSink, ServerOptions, WireServer};
 pub use service::{LabelResponse, LabelService, ServeConfig, ServiceStats};
 pub use snapshot::{
-    sweep_snapshot_dir, FittedLabeler, SnapshotFormat, StageTiming, SweepReport, TrainingBootstrap,
+    sweep_snapshot_dir, FittedLabeler, StageTiming, SweepReport, TrainingBootstrap,
 };
 pub use wire::RemoteStats;
 
@@ -117,9 +116,9 @@ pub enum ServeError {
     /// shed watermark or the connection exceeded its inflight cap. Always
     /// retryable — back off and resubmit.
     Overloaded,
-    /// The image cannot be labeled: it holds a NaN or infinite pixel. One
-    /// such pixel would otherwise turn into a confident wrong answer, or a
-    /// poisoned training row. Never retryable.
+    /// The image cannot be labeled: it holds a pixel outside `[0, 1]`
+    /// (NaN and ±inf included). One such pixel would otherwise turn into a
+    /// confident wrong answer, or a poisoned training row. Never retryable.
     InvalidImage(String),
 }
 
@@ -156,15 +155,16 @@ impl ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Reject an image with a NaN or infinite pixel as
-/// [`ServeError::InvalidImage`]. Every door an image takes into a model
-/// checks it: the wire decoders, [`LabelService::submit`] and the trainer's
-/// intake.
-pub fn check_finite_pixels(image: &goggles_vision::Image) -> Result<()> {
-    match image.tensor().as_slice().iter().position(|v| !v.is_finite()) {
+/// Reject an image with a pixel outside the nominal `[0, 1]` range (NaN
+/// and ±inf fail the same test) as [`ServeError::InvalidImage`]. Every door
+/// an image takes into a model checks it: the wire decoders,
+/// [`LabelService::submit`], [`FittedLabeler`]'s [`Labeler`] impl and the
+/// trainer's intake.
+pub fn check_pixels(image: &goggles_vision::Image) -> Result<()> {
+    match image.tensor().as_slice().iter().position(|v| !(0.0..=1.0).contains(v)) {
         None => Ok(()),
         Some(i) => Err(ServeError::InvalidImage(format!(
-            "pixel {i} of a {:?} image is not finite",
+            "pixel {i} of a {:?} image is outside [0, 1]",
             image.shape()
         ))),
     }

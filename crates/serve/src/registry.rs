@@ -143,8 +143,8 @@ impl SnapshotRegistry {
     }
 
     /// Load, validate and publish a snapshot file — the hot-reload front
-    /// used by [`crate::LabelService::reload_from`]. Accepts any
-    /// [`crate::SnapshotFormat`].
+    /// used by [`crate::LabelService::reload_from`]. Accepts whatever
+    /// [`FittedLabeler::load`] accepts.
     pub(crate) fn publish_file(&self, path: &std::path::Path) -> ServeResult<u64> {
         self.publish(FittedLabeler::load_from(path)?)
     }
@@ -210,7 +210,7 @@ impl SnapshotRegistry {
     }
 
     /// Lease a specific registered version (current or retired).
-    // goggles-lint: allow(dead-pub): lookup sibling of the used current_version; part of the registry query API, exercised only by unit tests
+    // goggles-lint: allow(dead-pub): lookup sibling of the used current_version; called by perfbench's registry probe, which lives outside this workspace
     pub fn get_version(&self, version: u64) -> ServeResult<PublishedSnapshot> {
         let state = self.state();
         state
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn publish_rollback_and_counters() {
         let (a, _) = fitted(41);
-        let b = FittedLabeler::load(&a.save_v2(true)).unwrap();
+        let b = a.clone();
         let registry = SnapshotRegistry::new(a).unwrap();
         assert_eq!(registry.current_version(), 1);
 
@@ -439,7 +439,7 @@ mod tests {
         // publish.
         let (a, ds) = fitted(43);
         let img = ds.test_images()[0].clone();
-        let b = FittedLabeler::load(&a.save_v2(false)).unwrap();
+        let b = a.clone();
         let registry = Arc::new(SnapshotRegistry::new(a).unwrap());
         let publisher = {
             let registry = Arc::clone(&registry);

@@ -466,7 +466,7 @@ impl LabelService {
     /// Applies backpressure: blocks while the queue is at capacity, or —
     /// with [`ServeConfig::shed_watermark`] set — sheds immediately with
     /// [`ServeError::Overloaded`] once the queue reaches the watermark. An
-    /// image with a NaN or infinite pixel is refused up front with
+    /// image with a pixel outside `[0, 1]` is refused up front with
     /// [`ServeError::InvalidImage`].
     pub fn submit(&self, image: impl Into<Arc<Image>>) -> ServeResult<Ticket> {
         self.submit_with_deadline(image, None)
@@ -483,7 +483,7 @@ impl LabelService {
         deadline: Option<Instant>,
     ) -> ServeResult<Ticket> {
         let image = image.into();
-        if let Err(e) = crate::check_finite_pixels(&image) {
+        if let Err(e) = crate::check_pixels(&image) {
             self.record_invalid();
             return Err(e);
         }
@@ -610,7 +610,7 @@ impl LabelService {
         self.shared.registry.get()
     }
 
-    /// Hot-reload: load a snapshot file (any [`crate::SnapshotFormat`]) —
+    /// Hot-reload: load a snapshot file ([`FittedLabeler::load`]) —
     /// or, given a directory, sweep it and load the newest valid snapshot
     /// ([`SnapshotRegistry::reload_from`]) — validate it, and publish it
     /// behind the running service. In-flight batches finish on their old
@@ -1123,14 +1123,17 @@ mod tests {
 
     #[test]
     fn publish_swaps_version_for_the_next_batch() {
-        // Serve with v1, hot-publish a v2-compressed reload: answers carry
-        // the version they were computed on, and post-swap answers match
-        // the new labeler's direct output exactly.
+        // Serve with one fit, hot-publish a differently seeded one: answers
+        // carry the version they were computed on, and post-swap answers
+        // match the new labeler's direct output exactly.
         let (labeler, ds) = fitted(18);
         let imgs = ds.test_images();
-        let swapped = FittedLabeler::load(&labeler.save_v2(true)).unwrap();
+        let (swapped, _) = fitted(118);
         let expected_v1 = labeler.label_batch(&imgs, 1);
         let expected_v2 = swapped.label_batch(&imgs, 1);
+        for i in 0..imgs.len() {
+            assert_ne!(expected_v1.probs.row(i), expected_v2.probs.row(i), "image {i}");
+        }
         let service = LabelService::spawn(
             labeler,
             ServeConfig { workers: 1, batch_timeout: Duration::ZERO, ..ServeConfig::default() },
@@ -1160,16 +1163,22 @@ mod tests {
     #[test]
     fn reload_from_validates_and_publishes_behind_running_service() {
         let (labeler, ds) = fitted(19);
+        let (next, _) = fitted(119);
         let img = ds.test_images()[0].clone();
+        let (_, old_probs) = labeler.label_one(&img);
+        let (_, new_probs) = next.label_one(&img);
+        assert_ne!(old_probs, new_probs, "the two fits must answer differently");
         let dir = std::env::temp_dir().join("goggles_serve_reload_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot_v2.ggl");
-        std::fs::write(&path, labeler.save_v2(false)).unwrap();
+        let path = dir.join("snapshot_next.ggl");
+        next.save_to(&path).unwrap();
         let service = LabelService::spawn(labeler, ServeConfig::default());
-        assert!(service.label(&img).is_ok());
+        assert_eq!(service.label(&img).unwrap().probs, old_probs);
         let v = service.reload_from(&path).unwrap();
         assert_eq!(v, 2);
-        assert_eq!(service.label(&img).unwrap().version, 2);
+        let resp = service.label(&img).unwrap();
+        assert_eq!(resp.version, 2);
+        assert_eq!(resp.probs, new_probs, "version 2 answers with the reloaded fit");
         // a garbage file must be rejected and must not disturb serving
         let bad_path = dir.join("garbage.ggl");
         std::fs::write(&bad_path, b"not a snapshot at all").unwrap();
@@ -1450,6 +1459,8 @@ mod tests {
         let bad = goggles_vision::Image::filled(4, 32, 32, 0.5);
         let mut nan = good.clone();
         nan.tensor_mut().as_mut_slice()[0] = f32::NAN;
+        let mut huge = good.clone();
+        huge.tensor_mut().as_mut_slice()[0] = 1e30;
 
         let ok = service.submit(good.clone()).unwrap();
         let poisoned = service.submit(bad).unwrap();
@@ -1461,6 +1472,7 @@ mod tests {
         let expired = service.submit_with_deadline(good.clone(), Some(past)).unwrap();
         assert!(matches!(expired.wait(), Err(ServeError::Deadline)));
         assert!(matches!(service.submit(nan), Err(ServeError::InvalidImage(_))));
+        assert!(matches!(service.submit(huge), Err(ServeError::InvalidImage(_))));
 
         assert!(ok.wait().is_ok(), "salvaged from the poisoned batch");
         assert!(matches!(poisoned.wait(), Err(ServeError::Closed)));
@@ -1482,7 +1494,7 @@ mod tests {
         assert_eq!(stats.cancelled, outcome("cancelled"));
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.shed, outcome("shed"));
-        assert_eq!(stats.invalid, 1);
+        assert_eq!(stats.invalid, 2, "the NaN and the 1e30 pixel");
         assert_eq!(stats.invalid, outcome("invalid"));
         assert_eq!(stats.failed_batches, 1);
         assert_eq!(stats.failed_batches, scraped(&text, "goggles_batches_failed_total"));

@@ -28,39 +28,11 @@ use goggles_models::{BernoulliMixture, DiagonalGmm, FitStats};
 use goggles_tensor::Matrix;
 use goggles_vision::Image;
 
-/// Magic bytes of the snapshot container (shared by every version).
+/// Magic bytes of the snapshot container.
 const MAGIC: &[u8; 8] = b"GGLSNAP\x01";
-/// The original, fully self-describing f64 format.
+/// Version of the one snapshot format [`FittedLabeler::save`] writes and
+/// [`FittedLabeler::load`] accepts.
 const VERSION_V1: u32 = 1;
-/// The compact schema-driven f32 format (optionally u16-quantized bank).
-const VERSION_V2: u32 = 2;
-/// v2 flag bit: the prototype bank payload is u16-quantized.
-const V2_FLAG_QUANTIZED_BANK: u8 = 0b1;
-
-/// On-disk snapshot format. The container header (magic + `u32` version)
-/// negotiates the layout at load time; [`FittedLabeler::load`] accepts
-/// every variant listed here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// The original format: every parameter as `f64`, every structural
-    /// integer as `u64`, shapes stored per matrix. Lossless — reloads are
-    /// byte-exact — and byte-compatible with pre-v2 snapshots.
-    V1,
-    /// The compact format: GMM/ensemble parameters narrowed to `f32`,
-    /// structural integers as `u32`, and shapes *derived from the header*
-    /// instead of stored per matrix, so the artifact is strictly under half
-    /// the v1 size. With `quantized_bank` the prototype bank is further
-    /// squeezed to `u16` codes on a fixed `[-1, 1]` grid (prototype rows
-    /// are L2-normalized, so the grid loses < 1.6e-5 per component).
-    /// Lossy, but bounded: argmax labels are preserved and per-class
-    /// probabilities move by far less than 1e-3 (asserted by the
-    /// `v2_is_compact_lossy_bounded_and_argmax_preserving` test).
-    V2 {
-        /// Quantize the prototype bank to u16 grid codes (halves the bank
-        /// again on top of the f32 narrowing).
-        quantized_bank: bool,
-    },
-}
 
 /// Frozen `DiagonalGmm`: same parameters, no training-side responsibilities
 /// (they are not part of the snapshot) and canonical stats — so labelers
@@ -411,40 +383,12 @@ impl FittedLabeler {
     // persistence
     // ------------------------------------------------------------------
 
-    /// Serialize to the **v1** (lossless, byte-exact) snapshot format —
-    /// shorthand for `FittedLabeler::save_with(SnapshotFormat::V1)`.
-    /// Deterministic: equal labelers produce identical bytes. For the
-    /// compact format, use [`FittedLabeler::save_v2`].
+    /// Serialize to the snapshot format: every model parameter as `f64`
+    /// (the prototype bank as its native `f32`), every structural integer
+    /// as `u64`, shapes stored per matrix, an FNV-1a checksum trailer. Lossless and deterministic: equal labelers produce
+    /// identical bytes, and `save → load → save` is byte-for-byte stable.
+    /// Do not reorder fields — existing snapshot files depend on the layout.
     pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotFormat::V1)
-    }
-
-    /// Serialize to the **v2** compact format (`quantized_bank` additionally
-    /// squeezes the prototype bank to u16 grid codes). Shorthand for
-    /// `FittedLabeler::save_with(SnapshotFormat::V2 { .. })`.
-    ///
-    /// # Panics
-    /// v2 stores mapping entries as `u16`, so labelers with more than
-    /// 65535 classes panic here — use [`FittedLabeler::save`] (v1) for such
-    /// models.
-    pub fn save_v2(&self, quantized_bank: bool) -> Vec<u8> {
-        self.save_with(SnapshotFormat::V2 { quantized_bank })
-    }
-
-    /// Serialize to the chosen [`SnapshotFormat`]. All formats are
-    /// deterministic and re-save stably: `save_with(f) → load → save_with(f)`
-    /// is byte-for-byte identical for every `f` (f64→f32 narrowing and the
-    /// fixed quantization grid are both idempotent).
-    pub(crate) fn save_with(&self, format: SnapshotFormat) -> Vec<u8> {
-        match format {
-            SnapshotFormat::V1 => self.save_v1_impl(),
-            SnapshotFormat::V2 { quantized_bank } => self.save_v2_impl(quantized_bank),
-        }
-    }
-
-    /// The original self-describing f64 layout (kept byte-compatible with
-    /// pre-v2 snapshots — do not reorder fields).
-    fn save_v1_impl(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_bytes(MAGIC);
         w.put_u32(VERSION_V1);
@@ -488,69 +432,15 @@ impl FittedLabeler {
         w.into_bytes()
     }
 
-    /// The compact schema-driven layout: `u32` structural integers, `f32`
-    /// parameter payloads (optionally u16 for the bank), and **no per-matrix
-    /// shape prefixes** — every shape is derived from the header
-    /// (`K`, `N`, `Z`, layer count), which is what puts v2 strictly under
-    /// half the v1 size.
-    fn save_v2_impl(&self, quantized_bank: bool) -> Vec<u8> {
-        assert!(self.num_classes <= u16::MAX as usize, "v2 stores mapping entries as u16");
-        let mut w = Writer::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(VERSION_V2);
-        w.put_u8(if quantized_bank { V2_FLAG_QUANTIZED_BANK } else { 0 });
-        // backbone recipe
-        w.put_u32(self.vgg.input_channels as u32);
-        for &c in &self.vgg.block_channels {
-            w.put_u32(c as u32);
-        }
-        w.put_u32(self.vgg.input_size as u32);
-        for &d in &self.vgg.fc_dims {
-            w.put_u32(d as u32);
-        }
-        w.put_u32(self.vgg.logits_dim as u32);
-        w.put_u64(self.backbone_seed);
-        // pipeline shape
-        w.put_u32(self.top_z as u32);
-        w.put_bool(self.center_patches);
-        w.put_u32(self.num_classes as u32);
-        w.put_bool(self.one_hot);
-        for &class in &self.mapping {
-            w.put_u16(class as u16); // length implied: num_classes
-        }
-        // prototype bank: rows per layer implied (N·Z), only widths stored
-        w.put_u32(self.bank.n as u32);
-        w.put_u32(self.bank.z_per_layer as u32);
-        w.put_u32(self.bank.stacked.len() as u32);
-        for layer in &self.bank.stacked {
-            w.put_u32(layer.cols() as u32);
-            if quantized_bank {
-                w.put_quantized_slice_raw(layer.as_slice());
-            } else {
-                w.put_f32_slice_raw(layer.as_slice());
-            }
-        }
-        // base models: count implied (layers·Z), shapes implied (K × N)
-        for bm in &self.base_models {
-            w.put_f64_slice_as_f32_raw(&bm.weights);
-            w.put_f64_slice_as_f32_raw(bm.means.as_slice());
-            w.put_f64_slice_as_f32_raw(bm.variances.as_slice());
-        }
-        // ensemble: shapes implied (K and K × αK)
-        w.put_f64_slice_as_f32_raw(&self.ensemble.weights);
-        w.put_f64_slice_as_f32_raw(self.ensemble.probs.as_slice());
-        // integrity trailer
-        let checksum = fnv1a(w.as_bytes());
-        w.put_u64(checksum);
-        w.into_bytes()
-    }
-
-    /// Deserialize a snapshot produced by any [`SnapshotFormat`]: the
-    /// header negotiates the layout, the decoded content is semantically
-    /// validated ([`FittedLabeler::validate`]) and the frozen backbone is
-    /// rebuilt. Codec-level damage (checksum, truncation, implausible
-    /// lengths) surfaces as [`ServeError::Snapshot`]; content that decodes
-    /// but is inconsistent surfaces as [`ServeError::Corrupt`].
+    /// Deserialize a snapshot written by [`FittedLabeler::save`]: the
+    /// checksum, magic and version are checked, the decoded content is
+    /// semantically validated ([`FittedLabeler::validate`]) and the frozen
+    /// backbone is rebuilt. Codec-level damage (checksum, truncation,
+    /// implausible lengths, a version other than 1) surfaces as
+    /// [`ServeError::Snapshot`]; content that decodes but is inconsistent
+    /// surfaces as [`ServeError::Corrupt`]. Structural integers are read
+    /// through the `MAX_SMALL_LEN` cap, so a corrupt-but-checksummed field
+    /// cannot smuggle in an implausible dimension.
     pub fn load(bytes: &[u8]) -> ServeResult<Self> {
         if bytes.len() < MAGIC.len() + 4 + 8 {
             return Err(ServeError::Snapshot("snapshot too short".into()));
@@ -571,22 +461,68 @@ impl FittedLabeler {
             return Err(ServeError::Snapshot("bad magic bytes".into()));
         }
         let version = r.get_u32()?;
-        let parts = match version {
-            VERSION_V1 => decode_v1(&mut r)?,
-            VERSION_V2 => decode_v2(&mut r)?,
-            v => {
-                return Err(ServeError::Snapshot(format!(
-                    "unsupported snapshot version {v} (supported: {VERSION_V1}, {VERSION_V2})"
-                )))
-            }
-        };
+        if version != VERSION_V1 {
+            return Err(ServeError::Snapshot(format!(
+                "unsupported snapshot version {version} (supported: {VERSION_V1})"
+            )));
+        }
+        let input_channels = r.get_len(MAX_SMALL_LEN)?;
+        let mut block_channels = [0usize; 5];
+        for c in &mut block_channels {
+            *c = r.get_len(MAX_SMALL_LEN)?;
+        }
+        let input_size = r.get_len(MAX_SMALL_LEN)?;
+        let mut fc_dims = [0usize; 2];
+        for d in &mut fc_dims {
+            *d = r.get_len(MAX_SMALL_LEN)?;
+        }
+        let logits_dim = r.get_len(MAX_SMALL_LEN)?;
+        let vgg = VggConfig { input_channels, block_channels, input_size, fc_dims, logits_dim };
+        let backbone_seed = r.get_u64()?;
+        let top_z = r.get_len(MAX_SMALL_LEN)?;
+        let center_patches = r.get_bool()?;
+        let num_classes = r.get_len(MAX_SMALL_LEN)?;
+        let one_hot = r.get_bool()?;
+        let mapping = r.get_usize_slice()?;
+        let n = r.get_len(MAX_SMALL_LEN)?;
+        let z_per_layer = r.get_len(MAX_SMALL_LEN)?;
+        let n_layers = r.get_len(MAX_SMALL_LEN)?;
+        let mut stacked = Vec::with_capacity(n_layers);
+        for _ in 0..n_layers {
+            stacked.push(r.get_matrix_f32()?);
+        }
+        let bank = PrototypeBank::from_stacked(stacked, n, z_per_layer)
+            .map_err(|e| ServeError::Corrupt(e.to_string()))?;
+        let n_models = r.get_len(MAX_SMALL_LEN)?;
+        let mut base_models = Vec::with_capacity(n_models);
+        for _ in 0..n_models {
+            let weights = r.get_f64_slice()?;
+            let means = r.get_matrix_f64()?;
+            let variances = r.get_matrix_f64()?;
+            base_models.push(frozen_gmm(weights, means, variances));
+        }
+        let ensemble = frozen_ensemble(r.get_f64_slice()?, r.get_matrix_f64()?);
         if r.remaining() != 0 {
             return Err(ServeError::Snapshot(format!(
                 "{} trailing bytes after snapshot payload",
                 r.remaining()
             )));
         }
-        parts.into_labeler()
+        validate_parts(&vgg, top_z, num_classes, &mapping, &bank, &base_models, &ensemble)?;
+        let net = Vgg16::new(&vgg, backbone_seed);
+        Ok(FittedLabeler {
+            vgg,
+            backbone_seed,
+            top_z,
+            center_patches,
+            num_classes,
+            one_hot,
+            mapping,
+            bank,
+            base_models,
+            ensemble,
+            net,
+        })
     }
 
     /// Semantic consistency check over the frozen state — everything a
@@ -763,192 +699,6 @@ pub fn sweep_snapshot_dir(dir: &std::path::Path) -> ServeResult<SweepReport> {
     Ok(report)
 }
 
-/// Decoded-but-not-yet-validated snapshot content, shared by both format
-/// decoders.
-struct SnapshotParts {
-    vgg: VggConfig,
-    backbone_seed: u64,
-    top_z: usize,
-    center_patches: bool,
-    num_classes: usize,
-    one_hot: bool,
-    mapping: Vec<usize>,
-    bank: PrototypeBank,
-    base_models: Vec<DiagonalGmm>,
-    ensemble: BernoulliMixture,
-}
-
-impl SnapshotParts {
-    /// Validate semantic consistency, then rebuild the frozen backbone.
-    fn into_labeler(self) -> ServeResult<FittedLabeler> {
-        validate_parts(
-            &self.vgg,
-            self.top_z,
-            self.num_classes,
-            &self.mapping,
-            &self.bank,
-            &self.base_models,
-            &self.ensemble,
-        )?;
-        let net = Vgg16::new(&self.vgg, self.backbone_seed);
-        Ok(FittedLabeler {
-            vgg: self.vgg,
-            backbone_seed: self.backbone_seed,
-            top_z: self.top_z,
-            center_patches: self.center_patches,
-            num_classes: self.num_classes,
-            one_hot: self.one_hot,
-            mapping: self.mapping,
-            bank: self.bank,
-            base_models: self.base_models,
-            ensemble: self.ensemble,
-            net,
-        })
-    }
-}
-
-/// Decode the v1 payload (cursor positioned just past the version field).
-/// Structural integers are read through the `MAX_SMALL_LEN` cap — same wire
-/// bytes as the original unbounded reads, but a corrupt-but-checksummed
-/// field can no longer smuggle in an implausible dimension.
-fn decode_v1(r: &mut Reader<'_>) -> ServeResult<SnapshotParts> {
-    let input_channels = r.get_len(MAX_SMALL_LEN)?;
-    let mut block_channels = [0usize; 5];
-    for c in &mut block_channels {
-        *c = r.get_len(MAX_SMALL_LEN)?;
-    }
-    let input_size = r.get_len(MAX_SMALL_LEN)?;
-    let mut fc_dims = [0usize; 2];
-    for d in &mut fc_dims {
-        *d = r.get_len(MAX_SMALL_LEN)?;
-    }
-    let logits_dim = r.get_len(MAX_SMALL_LEN)?;
-    let vgg = VggConfig { input_channels, block_channels, input_size, fc_dims, logits_dim };
-    let backbone_seed = r.get_u64()?;
-    let top_z = r.get_len(MAX_SMALL_LEN)?;
-    let center_patches = r.get_bool()?;
-    let num_classes = r.get_len(MAX_SMALL_LEN)?;
-    let one_hot = r.get_bool()?;
-    let mapping = r.get_usize_slice()?;
-    let n = r.get_len(MAX_SMALL_LEN)?;
-    let z_per_layer = r.get_len(MAX_SMALL_LEN)?;
-    let n_layers = r.get_len(MAX_SMALL_LEN)?;
-    let mut stacked = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
-        stacked.push(r.get_matrix_f32()?);
-    }
-    let bank = PrototypeBank::from_stacked(stacked, n, z_per_layer)
-        .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-    let n_models = r.get_len(MAX_SMALL_LEN)?;
-    let mut base_models = Vec::with_capacity(n_models);
-    for _ in 0..n_models {
-        let weights = r.get_f64_slice()?;
-        let means = r.get_matrix_f64()?;
-        let variances = r.get_matrix_f64()?;
-        base_models.push(frozen_gmm(weights, means, variances));
-    }
-    let ensemble = frozen_ensemble(r.get_f64_slice()?, r.get_matrix_f64()?);
-    Ok(SnapshotParts {
-        vgg,
-        backbone_seed,
-        top_z,
-        center_patches,
-        num_classes,
-        one_hot,
-        mapping,
-        bank,
-        base_models,
-        ensemble,
-    })
-}
-
-/// Decode the v2 payload (cursor positioned just past the version field).
-/// Shapes are *derived* from the header, so the only attacker-controlled
-/// lengths are the bounded header integers; every payload read is bounded
-/// by the remaining byte count before allocating.
-fn decode_v2(r: &mut Reader<'_>) -> ServeResult<SnapshotParts> {
-    let flags = r.get_u8()?;
-    if flags & !V2_FLAG_QUANTIZED_BANK != 0 {
-        return Err(ServeError::Snapshot(format!("unknown v2 flag bits {flags:#04x}")));
-    }
-    let quantized_bank = flags & V2_FLAG_QUANTIZED_BANK != 0;
-    let input_channels = r.get_len_u32(MAX_SMALL_LEN)?;
-    let mut block_channels = [0usize; 5];
-    for c in &mut block_channels {
-        *c = r.get_len_u32(MAX_SMALL_LEN)?;
-    }
-    let input_size = r.get_len_u32(MAX_SMALL_LEN)?;
-    let mut fc_dims = [0usize; 2];
-    for d in &mut fc_dims {
-        *d = r.get_len_u32(MAX_SMALL_LEN)?;
-    }
-    let logits_dim = r.get_len_u32(MAX_SMALL_LEN)?;
-    let vgg = VggConfig { input_channels, block_channels, input_size, fc_dims, logits_dim };
-    let backbone_seed = r.get_u64()?;
-    let top_z = r.get_len_u32(MAX_SMALL_LEN)?;
-    let center_patches = r.get_bool()?;
-    let num_classes = r.get_len_u32(u16::MAX as usize)?;
-    let one_hot = r.get_bool()?;
-    if num_classes == 0 {
-        return Err(ServeError::Corrupt("snapshot declares zero classes".into()));
-    }
-    let mut mapping = Vec::with_capacity(num_classes);
-    for _ in 0..num_classes {
-        mapping.push(r.get_u16()? as usize);
-    }
-    let n = r.get_len_u32(MAX_SMALL_LEN)?;
-    let z_per_layer = r.get_len_u32(MAX_SMALL_LEN)?;
-    let n_layers = r.get_len_u32(MAX_SMALL_LEN)?;
-    let rows = checked_len(n, z_per_layer)?;
-    let mut stacked = Vec::with_capacity(n_layers.min(64));
-    for _ in 0..n_layers {
-        let cols = r.get_len_u32(MAX_SMALL_LEN)?;
-        let len = checked_len(rows, cols)?;
-        let data = if quantized_bank { r.get_quantized_vec(len)? } else { r.get_f32_vec(len)? };
-        stacked.push(
-            Matrix::from_vec(rows, cols, data)
-                .map_err(|e| ServeError::Snapshot(format!("bank layer decode: {e}")))?,
-        );
-    }
-    let bank = PrototypeBank::from_stacked(stacked, n, z_per_layer)
-        .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-    let alpha = bank.alpha();
-    let kn = checked_len(num_classes, n)?;
-    let mut base_models = Vec::with_capacity(alpha.min(1 << 12));
-    for _ in 0..alpha {
-        let weights = r.get_f32_vec_as_f64(num_classes)?;
-        let means = Matrix::from_vec(num_classes, n, r.get_f32_vec_as_f64(kn)?)
-            .map_err(|e| ServeError::Snapshot(format!("base-model decode: {e}")))?;
-        let variances = Matrix::from_vec(num_classes, n, r.get_f32_vec_as_f64(kn)?)
-            .map_err(|e| ServeError::Snapshot(format!("base-model decode: {e}")))?;
-        base_models.push(frozen_gmm(weights, means, variances));
-    }
-    let ensemble_weights = r.get_f32_vec_as_f64(num_classes)?;
-    let probs_cols = checked_len(alpha, num_classes)?;
-    let probs_len = checked_len(num_classes, probs_cols)?;
-    let probs = Matrix::from_vec(num_classes, probs_cols, r.get_f32_vec_as_f64(probs_len)?)
-        .map_err(|e| ServeError::Snapshot(format!("ensemble decode: {e}")))?;
-    let ensemble = frozen_ensemble(ensemble_weights, probs);
-    Ok(SnapshotParts {
-        vgg,
-        backbone_seed,
-        top_z,
-        center_patches,
-        num_classes,
-        one_hot,
-        mapping,
-        bank,
-        base_models,
-        ensemble,
-    })
-}
-
-/// Overflow-checked product of two decoded dimensions.
-fn checked_len(a: usize, b: usize) -> ServeResult<usize> {
-    a.checked_mul(b)
-        .ok_or_else(|| ServeError::Snapshot(format!("dimension product {a}·{b} overflows")))
-}
-
 /// Upper bound on the rebuilt backbone's parameter count. A
 /// corrupted-but-checksummed recipe must be rejected here, not discovered
 /// as a multi-gigabyte allocation (or an assert) inside `Vgg16::new`.
@@ -1045,8 +795,10 @@ fn validate_parts(
     if bank.n == 0 || bank.z_per_layer == 0 || bank.stacked.is_empty() {
         return Err(ServeError::Corrupt("prototype bank is empty".into()));
     }
-    let bank_rows = checked_len(bank.n, bank.z_per_layer)
-        .map_err(|_| ServeError::Corrupt("bank shape N·Z overflows".into()))?;
+    let bank_rows = bank
+        .n
+        .checked_mul(bank.z_per_layer)
+        .ok_or_else(|| ServeError::Corrupt("bank shape N·Z overflows".into()))?;
     for (l, layer) in bank.stacked.iter().enumerate() {
         if layer.rows() != bank_rows || layer.cols() == 0 {
             return Err(ServeError::Corrupt(format!(
@@ -1234,44 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_is_compact_lossy_bounded_and_argmax_preserving() {
-        let (labeler, _, ds, _) = fitted(9);
-        let v1 = labeler.save();
-        let expected = labeler.label_batch(&ds.test_images(), 1);
-        for quantized in [false, true] {
-            let v2 = labeler.save_v2(quantized);
-            assert!(v2.len() < v1.len(), "v2 (q={quantized}) must be smaller than v1");
-            let reloaded = FittedLabeler::load(&v2).unwrap();
-            let served = reloaded.label_batch(&ds.test_images(), 1);
-            let dev = served.probs.max_abs_diff(&expected.probs);
-            assert!(dev < 1e-3, "v2 (q={quantized}) probability deviation {dev}");
-            assert_eq!(served.hard_labels(), expected.hard_labels(), "q={quantized}");
-        }
-        // quantized v2 must be at most half the v1 artifact (the schema
-        // derives shapes from the header, so overhead shrinks too)
-        let v2q = labeler.save_v2(true);
-        assert!(
-            2 * v2q.len() <= v1.len(),
-            "quantized v2 is {} bytes vs v1 {} — more than 50%",
-            v2q.len(),
-            v1.len()
-        );
-    }
-
-    #[test]
-    fn v2_save_load_save_is_byte_stable() {
-        // f64→f32 narrowing and the fixed quantization grid are both
-        // idempotent, so a republished v2 artifact is byte-identical.
-        let (labeler, _, _, _) = fitted(10);
-        for quantized in [false, true] {
-            let bytes = labeler.save_v2(quantized);
-            assert_eq!(bytes, labeler.save_v2(quantized), "save_v2 must be deterministic");
-            let reloaded = FittedLabeler::load(&bytes).unwrap();
-            assert_eq!(reloaded.save_v2(quantized), bytes, "q={quantized}");
-        }
-    }
-
-    #[test]
     fn corrupt_mapping_is_rejected_at_load_not_served() {
         // A hand-built snapshot whose mapping is not a permutation passes
         // the checksum but must fail load/validate with `Corrupt` — it used
@@ -1281,14 +995,11 @@ mod tests {
         let mut bad = labeler.clone();
         bad.mapping = vec![0, 0]; // duplicate: class 1 never written
         assert!(matches!(bad.validate(), Err(ServeError::Corrupt(_))));
-        for format in [SnapshotFormat::V1, SnapshotFormat::V2 { quantized_bank: true }] {
-            let bytes = bad.save_with(format);
-            match FittedLabeler::load(&bytes) {
-                Err(ServeError::Corrupt(msg)) => {
-                    assert!(msg.contains("permutation"), "unexpected message: {msg}")
-                }
-                other => panic!("{format:?}: expected Corrupt, got {other:?}"),
+        match FittedLabeler::load(&bad.save()) {
+            Err(ServeError::Corrupt(msg)) => {
+                assert!(msg.contains("permutation"), "unexpected message: {msg}")
             }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
         let mut oob = labeler.clone();
         oob.mapping = vec![0, 7]; // out of range: would index-OOB in apply_mapping
@@ -1317,13 +1028,6 @@ mod tests {
         fat[20..28].copy_from_slice(&(MAX_SMALL_LEN as u64).to_le_bytes());
         rechecksum(&mut fat);
         assert!(matches!(FittedLabeler::load(&fat), Err(ServeError::Corrupt(_))));
-        // same stomp on the v2 header (input_size u32 at offset 37)
-        let v2 = labeler.save_v2(true);
-        assert_eq!(u32::from_le_bytes(v2[37..41].try_into().unwrap()), 32);
-        let mut bad2 = v2.clone();
-        bad2[37..41].copy_from_slice(&33u32.to_le_bytes());
-        rechecksum(&mut bad2);
-        assert!(matches!(FittedLabeler::load(&bad2), Err(ServeError::Corrupt(_))));
     }
 
     #[test]
@@ -1352,34 +1056,19 @@ mod tests {
     #[test]
     fn unsupported_version_is_negotiated_away() {
         let (labeler, _, _, _) = fitted(13);
-        let mut bytes = labeler.save();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
-        rechecksum(&mut bytes);
-        match FittedLabeler::load(&bytes) {
-            Err(ServeError::Snapshot(msg)) => {
-                assert!(msg.contains("unsupported snapshot version 3"), "{msg}")
-            }
-            other => panic!("expected Snapshot error, got {other:?}"),
-        }
-        // unknown v2 flag bits are rejected too
-        let mut v2 = labeler.save_v2(false);
-        v2[MAGIC.len() + 4] |= 0b1000_0000;
-        rechecksum(&mut v2);
-        assert!(matches!(FittedLabeler::load(&v2), Err(ServeError::Snapshot(_))));
-    }
-
-    #[test]
-    fn v2_corrupted_snapshots_are_rejected() {
-        let (labeler, _, _, _) = fitted(14);
-        for quantized in [false, true] {
-            let bytes = labeler.save_v2(quantized);
-            // bit flip → checksum failure
-            let mut bad = bytes.clone();
-            bad[MAGIC.len() + 20] ^= 0x10;
-            assert!(matches!(FittedLabeler::load(&bad), Err(ServeError::Snapshot(_))));
-            // truncation → error, not panic
-            for cut in [0, 13, bytes.len() / 3, bytes.len() - 1] {
-                assert!(FittedLabeler::load(&bytes[..cut]).is_err(), "cut {cut}");
+        let good = labeler.save();
+        for version in [0u32, 2, 3, u32::MAX] {
+            let mut bytes = good.clone();
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            rechecksum(&mut bytes);
+            match FittedLabeler::load(&bytes) {
+                Err(ServeError::Snapshot(msg)) => {
+                    assert!(
+                        msg.contains(&format!("unsupported snapshot version {version}")),
+                        "{msg}"
+                    )
+                }
+                other => panic!("version {version}: expected Snapshot error, got {other:?}"),
             }
         }
     }

@@ -332,7 +332,7 @@ pub fn encode_label_request(image: &Image, deadline_us: u64) -> Vec<u8> {
 
 /// Decode an [`Opcode::LabelRequest`] payload: the deadline budget, then
 /// the image. A malformed image is a [`ServeError::Wire`] error, one with a
-/// NaN or infinite pixel [`ServeError::InvalidImage`].
+/// pixel outside `[0, 1]` [`ServeError::InvalidImage`].
 pub fn decode_label_request(payload: &[u8]) -> ServeResult<LabelRequest> {
     let mut r = Reader::new(payload);
     let deadline_us = r.get_u64().map_err(wire_err)?;
@@ -343,7 +343,7 @@ pub fn decode_label_request(payload: &[u8]) -> ServeResult<LabelRequest> {
 /// bounded (`MAX_IMAGE_CHANNELS`, `MAX_IMAGE_DIM`) and the pixel count must
 /// exactly match the remaining payload, so a corrupt frame can neither
 /// over-allocate nor smuggle in trailing garbage. A well-formed image with
-/// a NaN or infinite pixel is [`ServeError::InvalidImage`].
+/// a pixel outside `[0, 1]` is [`ServeError::InvalidImage`].
 fn decode_image(mut r: Reader<'_>) -> ServeResult<Image> {
     let c = r.get_len_u32(MAX_IMAGE_CHANNELS).map_err(wire_err)?;
     let h = r.get_len_u32(MAX_IMAGE_DIM).map_err(wire_err)?;
@@ -366,7 +366,7 @@ fn decode_image(mut r: Reader<'_>) -> ServeResult<Image> {
     let tensor = Tensor3::from_vec(c, h, w, data)
         .map_err(|e| ServeError::Wire(format!("image decode: {e}")))?;
     let image = Image::from_tensor(tensor);
-    crate::check_finite_pixels(&image)?;
+    crate::check_pixels(&image)?;
     Ok(image)
 }
 
@@ -726,7 +726,7 @@ mod tests {
     fn label_request_round_trip_is_bit_exact() {
         let mut image = Image::new(3, 4, 5);
         for (i, v) in image.tensor_mut().as_mut_slice().iter_mut().enumerate() {
-            *v = (i as f32 - 20.0) * 0.37;
+            *v = i as f32 / 59.0; // 60 pixels spanning [0, 1]
         }
         let payload = encode_label_request(&image, 12_345);
         let decoded = decode_label_request(&payload).unwrap();
@@ -869,7 +869,7 @@ mod tests {
     fn ingest_round_trips_and_rejects_bad_shapes() {
         let mut image = Image::new(3, 4, 5);
         for (i, v) in image.tensor_mut().as_mut_slice().iter_mut().enumerate() {
-            *v = (i as f32 - 10.0) * 0.21;
+            *v = i as f32 * 0.0137;
         }
         let payload = encode_ingest_request(&image);
         assert_eq!(decode_ingest_request(&payload).unwrap(), image);

@@ -1,5 +1,5 @@
 //! Statistics helpers used by the EM models and by the figure harnesses:
-//! log-sum-exp, softmax, argmax, histograms and ROC-AUC.
+//! log-sum-exp, argmax, mean, histograms, ROC-AUC and cosine similarity.
 
 use crate::scalar::Scalar;
 
@@ -14,25 +14,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     }
     let s: f64 = xs.iter().map(|&x| (x - m).exp()).sum();
     m + s.ln()
-}
-
-/// In-place softmax over a slice of **log**-weights; after the call the slice
-/// holds a probability vector. No-op on an empty slice.
-// goggles-lint: allow(dead-pub): documented stats API; exercised only by unit tests
-pub fn softmax_in_place(xs: &mut [f64]) {
-    if xs.is_empty() {
-        return;
-    }
-    let lse = log_sum_exp(xs);
-    if !lse.is_finite() {
-        // Degenerate all -inf input: fall back to uniform.
-        let u = 1.0 / xs.len() as f64;
-        xs.fill(u);
-        return;
-    }
-    for x in xs.iter_mut() {
-        *x = (*x - lse).exp();
-    }
 }
 
 /// Index of the maximum element (first occurrence on ties).
@@ -56,16 +37,6 @@ pub fn mean<T: Scalar>(xs: &[T]) -> f64 {
         return 0.0;
     }
     xs.iter().map(|v| v.to_f64()).sum::<f64>() / xs.len() as f64
-}
-
-/// Population variance; 0 for slices with fewer than 2 elements.
-// goggles-lint: allow(dead-pub): documented stats API; exercised only by unit tests
-pub fn variance<T: Scalar>(xs: &[T]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|v| (v.to_f64() - m).powi(2)).sum::<f64>() / xs.len() as f64
 }
 
 /// Fixed-width histogram over `[lo, hi]` with `bins` buckets.
@@ -124,31 +95,6 @@ pub fn auc<T: Scalar>(pos: &[T], neg: &[T]) -> f64 {
     (rank_sum_pos - p * (p + 1.0) / 2.0) / (p * q)
 }
 
-/// Pearson correlation of two equally-long slices; 0 when degenerate.
-// goggles-lint: allow(dead-pub): documented stats API; exercised only by unit tests
-pub fn pearson<T: Scalar>(xs: &[T], ys: &[T]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        let dx = x.to_f64() - mx;
-        let dy = y.to_f64() - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
 /// Cosine similarity of two equally-long vectors (Equation 3 of the paper).
 /// Returns 0 when either vector is all-zero.
 #[inline]
@@ -190,21 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_normalizes_and_orders() {
-        let mut xs = [1.0, 2.0, 3.0];
-        softmax_in_place(&mut xs);
-        assert!((xs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(xs[2] > xs[1] && xs[1] > xs[0]);
-    }
-
-    #[test]
-    fn softmax_handles_all_neg_inf() {
-        let mut xs = [f64::NEG_INFINITY, f64::NEG_INFINITY];
-        softmax_in_place(&mut xs);
-        assert_eq!(xs, [0.5, 0.5]);
-    }
-
-    #[test]
     fn argmax_first_tie_wins() {
         assert_eq!(argmax(&[1.0f64, 3.0, 3.0, 2.0]), 1);
     }
@@ -213,8 +144,7 @@ mod tests {
     fn mean_variance_basics() {
         let xs = [2.0f64, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert_eq!(variance(&[1.0f64]), 0.0);
+        assert_eq!(mean::<f64>(&[]), 0.0);
     }
 
     #[test]
@@ -234,15 +164,6 @@ mod tests {
     fn auc_handles_ties_as_half() {
         // single positive ties the single negative -> 0.5
         assert!((auc(&[1.0f64], &[1.0]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_of_linear_is_one() {
-        let xs = [1.0f64, 2.0, 3.0];
-        let ys = [2.0f64, 4.0, 6.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let yneg = [-2.0f64, -4.0, -6.0];
-        assert!((pearson(&xs, &yneg) + 1.0).abs() < 1e-12);
     }
 
     #[test]

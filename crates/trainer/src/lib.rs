@@ -274,7 +274,7 @@ impl Intake {
 
 impl IngestSink for Intake {
     fn ingest(&self, image: Image) -> ServeResult<u64> {
-        goggles_serve::check_finite_pixels(&image)?;
+        goggles_serve::check_pixels(&image)?;
         let mut st = self.lock();
         if st.shutdown {
             return Err(ServeError::Closed);
@@ -415,8 +415,8 @@ impl Trainer {
 
     /// Enqueue one image locally (same path as a wire `Ingest` op).
     /// Returns the total accepted so far, [`ServeError::Overloaded`] on a
-    /// full queue, or [`ServeError::InvalidImage`] for an image with a NaN
-    /// or infinite pixel, which never reaches the training matrix.
+    /// full queue, or [`ServeError::InvalidImage`] for an image with a pixel
+    /// outside `[0, 1]`, which never reaches the training matrix.
     pub fn ingest(&self, image: Image) -> ServeResult<u64> {
         self.intake.ingest(image)
     }

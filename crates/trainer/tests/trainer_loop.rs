@@ -3,7 +3,8 @@
 //! serving plane answering throughout. Four scenarios:
 //!
 //! 1. happy path — a batch publishes under live label load with zero
-//!    dropped requests, and a non-finite image is refused at intake;
+//!    dropped requests, and an image with a pixel outside [0, 1] is
+//!    refused at intake;
 //! 2. offline gate failure (`trainer.gate` failpoint) — the candidate is
 //!    rejected and serving stays bit-identical on the old version;
 //! 3. canary regression (`trainer.canary` failpoint) — the candidate
@@ -115,11 +116,13 @@ mod loop_tests {
             })
         };
 
-        // A non-finite image is refused at intake, so it neither counts
-        // toward the batch nor reaches the training matrix.
-        let mut poisoned = fresh[0].clone();
-        poisoned.tensor_mut().as_mut_slice()[5] = f32::NAN;
-        assert!(matches!(trainer.ingest(poisoned), Err(ServeError::InvalidImage(_))));
+        // An image with a pixel outside [0, 1] is refused at intake, so it
+        // neither counts toward the batch nor reaches the training matrix.
+        for bad_value in [f32::NAN, 1e30] {
+            let mut poisoned = fresh[0].clone();
+            poisoned.tensor_mut().as_mut_slice()[5] = bad_value;
+            assert!(matches!(trainer.ingest(poisoned), Err(ServeError::InvalidImage(_))));
+        }
         for img in fresh.iter().take(batch).cloned() {
             trainer.ingest(img).unwrap();
         }

@@ -1,7 +1,7 @@
 //! Network serving demo: fit GOGGLES once, put a wire-protocol TCP front
 //! on the micro-batching service, and label held-out images from a
-//! **remote client** — then hot-reload a compressed v2 snapshot *over the
-//! wire* without stopping the server.
+//! **remote client** — then hot-reload the snapshot of a second,
+//! differently seeded fit *over the wire* without stopping the server.
 //!
 //! ```text
 //! cargo run --release --example network
@@ -37,7 +37,7 @@ fn main() {
 
     // ---- 2. spawn the server: micro-batcher + TCP wire front ----------
     let service = Arc::new(LabelService::spawn(
-        labeler.clone(),
+        labeler,
         ServeConfig {
             workers: 2,
             max_batch: 8,
@@ -85,13 +85,16 @@ fn main() {
     assert!(matches!(expired, Err(goggles::serve::ServeError::Deadline)));
     println!("expired deadline correctly answered with ServeError::Deadline");
 
-    // ---- 5. remote hot-reload: swap a v2 snapshot behind live traffic --
-    let snap_path = std::env::temp_dir().join("goggles_network_demo_v2.ggl");
-    std::fs::write(&snap_path, labeler.save_v2(true)).expect("write v2 snapshot");
+    // ---- 5. remote hot-reload: swap a refit behind live traffic -------
+    let refit_config = GogglesConfig { seed: seed + 1, ..config };
+    let (refit, _) = FittedLabeler::fit(&refit_config, &ds, &dev).expect("refit failed");
+    let snap_path = std::env::temp_dir().join("goggles_network_demo_refit.ggl");
+    refit.save_to(&snap_path).expect("write refit snapshot");
     let version =
         client.reload(snap_path.to_str().expect("utf-8 temp path")).expect("remote reload failed");
     let post_swap = client.label(held_out[0]).expect("post-swap label failed");
     assert_eq!(post_swap.version, version, "next answer serves the reloaded version");
+    assert_eq!(post_swap.probs, refit.label_one(held_out[0]).1, "and answers with the refit");
     println!("hot-reloaded over the wire as version {version}");
 
     // ---- 6. remote stats + clean shutdown ------------------------------

@@ -2,8 +2,9 @@
 //! reload from bytes, and label held-out images **online** through the
 //! micro-batching [`LabelService`] — per-request cost is O(image): no
 //! training-matrix rebuild, no mixture-model refit. The demo then
-//! **hot-reloads** a quantized v2 snapshot behind the running service
-//! (publish → new version, rollback → old version) without stopping it.
+//! **hot-reloads** the snapshot of a second, differently seeded fit behind
+//! the running service (publish → new version, rollback → old version)
+//! without stopping it.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -85,23 +86,20 @@ fn main() {
     );
     println!("served accuracy on held-out images: {:.1}%", 100.0 * served_acc);
 
-    // ---- 4. hot-reload a compressed v2 snapshot behind the service ----
+    // ---- 4. hot-reload a refit snapshot behind the service -----------
     // A production labeler is refit as the corpus grows; the registry
     // publishes the new version under live traffic — in-flight batches
     // finish on the old version, the next batch serves the new one.
-    let v2_bytes = labeler.save_v2(true);
-    println!(
-        "v2 (quantized) snapshot: {} KiB ({:.1}% of v1)",
-        v2_bytes.len() / 1024,
-        100.0 * v2_bytes.len() as f64 / bytes.len() as f64,
-    );
-    let snap_path = std::env::temp_dir().join("goggles_serving_demo_v2.ggl");
-    std::fs::write(&snap_path, &v2_bytes).expect("write v2 snapshot");
+    let refit_config = GogglesConfig { seed: seed + 1, ..config.clone() };
+    let (refit, _) = FittedLabeler::fit(&refit_config, &ds, &dev).expect("refit failed");
+    let snap_path = std::env::temp_dir().join("goggles_serving_demo_refit.ggl");
+    refit.save_to(&snap_path).expect("write refit snapshot");
     let version = service.reload_from(&snap_path).expect("hot-reload failed");
     let resp = service.label(held_out[0]).expect("service closed");
     assert_eq!(resp.version, version, "post-swap requests serve the new version");
+    assert_eq!(resp.probs, refit.label_one(held_out[0]).1, "and answer with the refit");
     println!(
-        "hot-reloaded v2 as version {version}; next answer came from version {} (class {})",
+        "hot-reloaded the refit as version {version}; next answer came from version {} (class {})",
         resp.version, resp.label
     );
     let rolled_back = service.registry().rollback().expect("rollback failed");

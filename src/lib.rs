@@ -56,7 +56,7 @@ pub mod prelude {
     };
     pub use goggles_serve::{
         FaultPlan, FittedLabeler, LabelResponse, LabelService, Labeler, RemoteLabeler, RetryPolicy,
-        ServeConfig, ServerOptions, SnapshotFormat, SnapshotRegistry, Ticket, WireServer,
+        ServeConfig, ServerOptions, SnapshotRegistry, Ticket, WireServer,
     };
     pub use goggles_trainer::{RefitOutcome, Trainer, TrainerConfig, TrainerStatus};
     pub use goggles_vision::Image;

@@ -1,24 +1,24 @@
 //! Property tests over the snapshot codec and container: truncated
 //! prefixes, bit-flipped bytes and oversized length fields must always
 //! come back as `Err` — never a panic, never an unbounded allocation — for
-//! both the v1 and v2 snapshot formats.
+//! the (single, v1) snapshot format.
 
 use goggles::prelude::*;
 use goggles::serve::codec::{fnv1a, Reader, Writer, MAX_SMALL_LEN};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// One fitted labeler's snapshot in every format: (v1, v2, v2-quantized).
-fn snapshots() -> &'static (Vec<u8>, Vec<u8>, Vec<u8>) {
-    static SNAPSHOTS: OnceLock<(Vec<u8>, Vec<u8>, Vec<u8>)> = OnceLock::new();
-    SNAPSHOTS.get_or_init(|| {
+/// One fitted labeler's snapshot.
+fn snapshot() -> &'static Vec<u8> {
+    static SNAPSHOT: OnceLock<Vec<u8>> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
         let mut cfg = TaskConfig::new(TaskKind::Cub { class_a: 0, class_b: 1 }, 8, 4, 77);
         cfg.image_size = 32;
         let ds = generate(&cfg);
         let dev = ds.sample_dev_set(3, 77);
         let gcfg = GogglesConfig { seed: 77, ..GogglesConfig::fast() };
         let (labeler, _) = FittedLabeler::fit(&gcfg, &ds, &dev).expect("fixture fit");
-        (labeler.save(), labeler.save_v2(false), labeler.save_v2(true))
+        labeler.save()
     })
 }
 
@@ -34,27 +34,22 @@ fn rechecksum(bytes: &mut [u8]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every truncated prefix of every format fails cleanly.
+    /// Every truncated prefix fails cleanly.
     #[test]
     fn truncated_prefixes_always_err(cut in 0usize..1_000_000) {
-        let (v1, v2, v2q) = snapshots();
-        for bytes in [v1, v2, v2q] {
-            let cut = cut % bytes.len();
-            prop_assert!(FittedLabeler::load(&bytes[..cut]).is_err(), "cut {cut}");
-        }
+        let bytes = snapshot();
+        let cut = cut % bytes.len();
+        prop_assert!(FittedLabeler::load(&bytes[..cut]).is_err(), "cut {cut}");
     }
 
     /// Any single bit flip anywhere (payload or trailer) fails the
     /// checksum — load errs, never panics.
     #[test]
     fn bit_flips_always_err(pos in 0usize..1_000_000, bit in 0usize..8) {
-        let (v1, v2, v2q) = snapshots();
-        for bytes in [v1, v2, v2q] {
-            let mut bad = bytes.clone();
-            let pos = pos % bad.len();
-            bad[pos] ^= 1 << bit;
-            prop_assert!(FittedLabeler::load(&bad).is_err(), "flip at {pos} bit {bit}");
-        }
+        let mut bad = snapshot().clone();
+        let pos = pos % bad.len();
+        bad[pos] ^= 1 << bit;
+        prop_assert!(FittedLabeler::load(&bad).is_err(), "flip at {pos} bit {bit}");
     }
 
     /// Stomping 8 arbitrary bytes into the payload and *re-checksumming*
@@ -66,15 +61,12 @@ proptest! {
         pos in 0usize..1_000_000,
         value in 0u64..u64::MAX,
     ) {
-        let (v1, v2, v2q) = snapshots();
-        for bytes in [v1, v2, v2q] {
-            let mut bad = bytes.clone();
-            let payload_end = bad.len() - 8;
-            let pos = 12 + pos % (payload_end - 8 - 12); // past magic+version
-            bad[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
-            rechecksum(&mut bad);
-            let _ = FittedLabeler::load(&bad); // must return, not panic/OOM
-        }
+        let mut bad = snapshot().clone();
+        let payload_end = bad.len() - 8;
+        let pos = 12 + pos % (payload_end - 8 - 12); // past magic+version
+        bad[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+        rechecksum(&mut bad);
+        let _ = FittedLabeler::load(&bad); // must return, not panic/OOM
     }
 
     /// Oversized length fields at the known structural offsets are
@@ -82,7 +74,7 @@ proptest! {
     /// trusted into huge allocations.
     #[test]
     fn oversized_length_fields_always_err(huge in (MAX_SMALL_LEN as u64 + 1)..u64::MAX) {
-        let (v1, v2, _) = snapshots();
+        let v1 = snapshot();
         // v1 structural u64 offsets (format frozen; guarded below):
         // mapping len @118, bank N @142, Z @150, layer count @158,
         // layer-0 rows @166, layer-0 cols @174.
@@ -93,17 +85,6 @@ proptest! {
             bad[offset..offset + 8].copy_from_slice(&huge.to_le_bytes());
             rechecksum(&mut bad);
             prop_assert!(FittedLabeler::load(&bad).is_err(), "v1 length at {offset}");
-        }
-        // v2 structural u32 offsets: bank N @75, Z @79, layer count @83,
-        // layer-0 cols @87.
-        let n_train_v2 = u32::from_le_bytes(v2[75..79].try_into().unwrap());
-        prop_assert!(n_train_v2 == 16, "v2 offset map drifted: N = {n_train_v2}");
-        let huge32 = (huge as u32).max(MAX_SMALL_LEN as u32 + 1);
-        for offset in [75usize, 79, 83, 87] {
-            let mut bad = v2.clone();
-            bad[offset..offset + 4].copy_from_slice(&huge32.to_le_bytes());
-            rechecksum(&mut bad);
-            prop_assert!(FittedLabeler::load(&bad).is_err(), "v2 length at {offset}");
         }
     }
 
@@ -116,7 +97,6 @@ proptest! {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let mut r = Reader::new(&bytes);
         let _ = r.get_u8();
-        let _ = r.get_u16();
         let _ = r.get_u32();
         let _ = r.get_bool();
         let _ = r.get_f32();
@@ -128,7 +108,6 @@ proptest! {
         let _ = r.get_matrix_f64();
         let _ = r.get_matrix_f32();
         let _ = r.get_f32_vec(MAX_SMALL_LEN);
-        let _ = r.get_quantized_vec(MAX_SMALL_LEN);
         prop_assert!(r.remaining() <= bytes.len());
     }
 

@@ -115,20 +115,24 @@ fn service_answers_match_direct_inference_and_count_requests() {
 #[test]
 fn publish_under_concurrent_load_never_drops_or_corrupts_a_request() {
     // The swap-under-load acceptance criterion: with concurrent clients
-    // running, `registry.publish(v2)` completes without any request
+    // running, `registry.publish(next)` completes without any request
     // erroring, every response is bit-identical to one of the two published
     // versions (on the version it reports), and post-swap responses match
     // the new version's direct `label_batch` output.
     let (ds, dev) = task(8, 6, 55);
     let config = GogglesConfig { seed: 55, ..GogglesConfig::fast() };
     let (labeler, _) = FittedLabeler::fit(&config, &ds, &dev).unwrap();
-    // "retrained" artifact: the same model shipped as a quantized v2
-    // snapshot (the compressed republish path)
-    let swapped = FittedLabeler::load(&labeler.save_v2(true)).unwrap();
+    // "retrained" artifact: the same task refit under another seed
+    let reseeded = GogglesConfig { seed: 155, ..config };
+    let (swapped, _) = FittedLabeler::fit(&reseeded, &ds, &dev).unwrap();
 
     let images: Vec<Image> = ds.test_images().iter().map(|img| (*img).clone()).collect();
     let expected_v1 = labeler.label_batch(&ds.test_images(), 1);
     let expected_v2 = swapped.label_batch(&ds.test_images(), 1);
+    // otherwise a version check by answer would be vacuous
+    for i in 0..images.len() {
+        assert_ne!(expected_v1.probs.row(i), expected_v2.probs.row(i), "image {i}");
+    }
 
     let service = Arc::new(LabelService::spawn(
         labeler,
@@ -208,13 +212,18 @@ fn rollback_behind_running_service_restores_old_answers() {
     let (ds, dev) = task(8, 5, 56);
     let config = GogglesConfig { seed: 56, ..GogglesConfig::fast() };
     let (labeler, _) = FittedLabeler::fit(&config, &ds, &dev).unwrap();
-    let swapped = FittedLabeler::load(&labeler.save_v2(true)).unwrap();
+    let reseeded = GogglesConfig { seed: 156, ..config };
+    let (swapped, _) = FittedLabeler::fit(&reseeded, &ds, &dev).unwrap();
     let img = ds.test_images()[0].clone();
     let expected_v1 = labeler.label_batch(&[&img], 1);
+    let expected_v2 = swapped.label_batch(&[&img], 1);
+    assert_ne!(expected_v1.probs, expected_v2.probs, "the two fits must answer differently");
 
     let service = LabelService::spawn(labeler, ServeConfig::default());
     service.registry().publish(swapped).unwrap();
-    assert_eq!(service.label(&img).unwrap().version, 2);
+    let resp = service.label(&img).unwrap();
+    assert_eq!(resp.version, 2);
+    assert_eq!(resp.probs, expected_v2.probs.row(0));
     let restored = service.registry().rollback().unwrap();
     assert_eq!(restored, 1);
     let resp = service.label(&img).unwrap();

@@ -81,15 +81,19 @@ fn pipelined_label_all_matches_and_batches() {
 #[test]
 fn remote_reload_swaps_versions_under_load_and_prunes_the_registry() {
     let (labeler, ds) = fixture(73);
-    let swapped = FittedLabeler::load(&labeler.save_v2(true)).unwrap();
+    let (swapped, _) = fixture(173);
     let images: Vec<Image> = ds.test_images().iter().map(|img| (*img).clone()).collect();
     let expected_v1 = labeler.label_batch(&ds.test_images(), 1);
     let expected_v2 = swapped.label_batch(&ds.test_images(), 1);
+    // otherwise a version check by answer would be vacuous
+    for i in 0..images.len() {
+        assert_ne!(expected_v1.probs.row(i), expected_v2.probs.row(i), "image {i}");
+    }
 
     let dir = std::env::temp_dir().join("goggles_remote_reload_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let snap_path = dir.join("snapshot_v2.ggl");
-    std::fs::write(&snap_path, labeler.save_v2(true)).unwrap();
+    let snap_path = dir.join("snapshot_next.ggl");
+    swapped.save_to(&snap_path).unwrap();
 
     let (service, server, client) = spawn_stack(
         labeler,
@@ -345,13 +349,15 @@ fn oversized_image_fails_its_request_but_not_the_connection() {
 
 #[test]
 fn non_finite_pixels_get_a_typed_error_and_the_connection_stays_up() {
-    // One NaN or infinite pixel used to flip answers to a confident wrong
-    // class. Over the wire it must come back as a typed, non-retryable
-    // error, counted in the metrics, with the connection still usable.
+    // One pixel outside [0, 1] (NaN and ±inf included) used to flip
+    // answers to a confident wrong class. Over the wire it must come back
+    // as a typed, non-retryable error, counted in the metrics, with the
+    // connection still usable.
     let (labeler, ds) = fixture(81);
-    let (service, _server, client) = spawn_stack(labeler, ServeConfig::default());
+    let (service, _server, client) = spawn_stack(labeler.clone(), ServeConfig::default());
     let good = ds.test_images()[0];
-    for bad_value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+    let bad_values = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e-3];
+    for bad_value in bad_values {
         let mut bad = good.clone();
         bad.tensor_mut().as_mut_slice()[17] = bad_value;
         match client.label(&bad) {
@@ -359,11 +365,13 @@ fn non_finite_pixels_get_a_typed_error_and_the_connection_stays_up() {
             other => panic!("{bad_value}: expected InvalidImage, got {other:?}"),
         }
         assert!(matches!(client.ingest(&bad), Err(ServeError::InvalidImage(_))));
+        assert!(matches!(Labeler::label(&labeler, &bad), Err(ServeError::InvalidImage(_))));
         assert!(matches!(service.submit(bad), Err(ServeError::InvalidImage(_))));
     }
     assert!(client.label(good).is_ok(), "connection must stay usable");
     let scrape = client.metrics().unwrap();
-    assert_eq!(scrape_value(&scrape, "goggles_requests_total{result=\"invalid\"}"), Some(6.0));
+    let invalid = 2.0 * bad_values.len() as f64; // one wire label, one in-process submit each
+    assert_eq!(scrape_value(&scrape, "goggles_requests_total{result=\"invalid\"}"), Some(invalid));
 }
 
 #[test]

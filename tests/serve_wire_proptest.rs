@@ -1,7 +1,7 @@
 //! Property tests over the network wire protocol, mirroring what
 //! `serve_codec_proptest.rs` does for snapshots: truncated frames,
-//! bit-flips, oversized length fields, garbage opcodes and non-finite
-//! pixels must always come back as `Err` — never a panic, never a hang,
+//! bit-flips, oversized length fields, garbage opcodes and pixels outside
+//! `[0, 1]` must always come back as `Err` — never a panic, never a hang,
 //! never an unbounded allocation — at both the framing layer and the
 //! payload decoders.
 
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 fn reference_frame() -> Vec<u8> {
     let mut image = Image::new(3, 8, 8);
     for (i, v) in image.tensor_mut().as_mut_slice().iter_mut().enumerate() {
-        *v = (i as f32).sin();
+        *v = 0.5 + 0.5 * (i as f32).sin();
     }
     encode_frame(Opcode::LabelRequest, 77, &encode_label_request(&image, 1_000))
 }
@@ -238,7 +238,8 @@ proptest! {
         use goggles::serve::wire::{decode_ingest_request, encode_ingest_request};
         let mut image = Image::new(c, h, w);
         for (i, v) in image.tensor_mut().as_mut_slice().iter_mut().enumerate() {
-            *v = ((i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt) as f32).sin();
+            let x = (i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt) as f32;
+            *v = 0.5 + 0.5 * x.sin(); // the pixel range [0, 1]
         }
         let decoded = decode_ingest_request(&encode_ingest_request(&image)).unwrap();
         prop_assert_eq!(decoded.shape(), image.shape());
@@ -261,27 +262,40 @@ proptest! {
         prop_assert!(matches!(decode_ingest_request(&padded), Err(ServeError::Wire(_))));
     }
 
-    /// A well-formed label or ingest payload with one NaN or ±inf pixel
-    /// anywhere decodes to the typed `InvalidImage` error, never to an
-    /// image the model would label or train on.
+    /// A well-formed label or ingest payload with one pixel outside
+    /// `[0, 1]` anywhere — NaN, ±inf, or a finite value just past either
+    /// end — decodes to the typed `InvalidImage` error, never to an image
+    /// the model would label or train on. `-0.0` is in range.
     #[test]
     fn non_finite_pixels_are_rejected_typed(
         c in 1usize..4,
         h in 1usize..10,
         w in 1usize..10,
         at in 0usize..1_000_000,
-        kind in 0usize..3,
+        kind in 0usize..7,
         deadline_us in 0u64..1_000_000,
     ) {
         use goggles::serve::wire::{decode_ingest_request, encode_ingest_request};
         let mut image = Image::filled(c, h, w, 0.5);
         let pixels = image.tensor_mut().as_mut_slice();
         let at = at % pixels.len();
-        pixels[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+        let bad = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e30,
+            f32::MAX,
+            -1e-3,
+            1.0 + f32::EPSILON,
+        ];
+        pixels[at] = bad[kind];
         let label = decode_label_request(&encode_label_request(&image, deadline_us));
         prop_assert!(matches!(label, Err(ServeError::InvalidImage(_))), "{label:?}");
         let ingest = decode_ingest_request(&encode_ingest_request(&image));
         prop_assert!(matches!(ingest, Err(ServeError::InvalidImage(_))), "{ingest:?}");
+        image.tensor_mut().as_mut_slice()[at] = -0.0;
+        prop_assert!(decode_label_request(&encode_label_request(&image, deadline_us)).is_ok());
+        prop_assert!(decode_ingest_request(&encode_ingest_request(&image)).is_ok());
     }
 
     /// An `IngestReply` is exactly one little-endian u64 — anything longer
