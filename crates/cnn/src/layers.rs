@@ -62,6 +62,24 @@ impl ConvScratch {
     }
 }
 
+thread_local! {
+    /// The arena of a thread that has none of its own: each
+    /// [`goggles_tensor::pool`] helper embeds through this one, so its
+    /// buffers persist across jobs.
+    static THREAD_SCRATCH: std::cell::RefCell<ConvScratch> =
+        std::cell::RefCell::new(ConvScratch::new());
+}
+
+/// Run `f` with this thread's own [`ConvScratch`], kept in a thread-local
+/// across calls. A re-entrant call (from inside `f`) gets a fresh arena
+/// instead, so it never aliases the one in use.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ConvScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut ConvScratch::new()),
+    })
+}
+
 /// 2-D convolution with stride 1 and zero same-padding.
 ///
 /// Weight layout is `[out_c][in_c][kh][kw]` flattened; this keeps the inner

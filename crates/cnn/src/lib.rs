@@ -31,5 +31,5 @@
 pub mod layers;
 pub mod vgg;
 
-pub use layers::{Conv2d, ConvScratch};
+pub use layers::{with_thread_scratch, Conv2d, ConvScratch};
 pub use vgg::{Vgg16, VggConfig};

@@ -327,9 +327,13 @@ impl Vgg16 {
         self.logits_batch_threaded(imgs, threads)
     }
 
-    /// Batch logits across an explicit thread budget. Images are
-    /// independent, each worker owns one scratch arena and writes disjoint
-    /// output rows, so the result is identical for every thread count.
+    /// Batch logits on up to `threads` participants of the process-wide
+    /// [`goggles_tensor::pool`]: the calling thread and the pool's helpers
+    /// claim images one at a time, each runs it through its thread's own
+    /// [`ConvScratch`] (see [`crate::with_thread_scratch`]) and writes only
+    /// that image's output row, so the result is identical for every thread
+    /// count and schedule. `threads` caps the participants; it spawns
+    /// nothing.
     pub fn logits_batch_threaded(
         &self,
         imgs: &[Image],
@@ -340,26 +344,9 @@ impl Vgg16 {
         if imgs.is_empty() || ld == 0 {
             return out;
         }
-        let threads = threads.max(1).min(imgs.len());
-        if threads <= 1 || imgs.len() < 4 {
-            let mut scratch = ConvScratch::new();
-            for (i, img) in imgs.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(&self.logits_with(&mut scratch, img));
-            }
-            return out;
-        }
-        let chunk = imgs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (rows, chunk_imgs) in
-                out.as_mut_slice().chunks_mut(chunk * ld).zip(imgs.chunks(chunk))
-            {
-                scope.spawn(move || {
-                    let mut scratch = ConvScratch::new();
-                    for (row, img) in rows.chunks_mut(ld).zip(chunk_imgs) {
-                        row.copy_from_slice(&self.logits_with(&mut scratch, img));
-                    }
-                });
-            }
+        goggles_tensor::pool::for_each_chunk_mut(out.as_mut_slice(), ld, threads, |i, row| {
+            let logits = crate::with_thread_scratch(|scratch| self.logits_with(scratch, &imgs[i]));
+            row.copy_from_slice(&logits);
         });
         out
     }

@@ -255,12 +255,13 @@ impl PrototypeBank {
     /// (`row q, column f·N + j = f(query_q, train_j)`). Cost is
     /// `O(m · N)` affinity evaluations — independent of `N²`.
     ///
-    /// With `m ≥ threads` queries the rows are fanned out across the pool
-    /// (batch builds); with fewer queries than threads — the online serving
-    /// case, typically `m = 1` — the rows run serially on the calling
-    /// thread. Every row runs the register-tiled
-    /// [`goggles_tensor::colmax_matmul_panel_f32`] kernel, so the output is
-    /// bit-identical for every thread count.
+    /// The rows run on up to `threads` participants of the process-wide
+    /// [`goggles_tensor::pool`] (the calling thread and the pool's helpers),
+    /// which claim queries one at a time; a single query runs on the
+    /// calling thread. Each row is [`PrototypeBank::affinity_row`], the
+    /// register-tiled [`goggles_tensor::colmax_matmul_panel_f32`] kernel
+    /// writing only its own output row, so the output is bit-identical for
+    /// every thread count and schedule.
     pub fn affinity_rows(&self, queries: &[ImageEmbedding], threads: usize) -> Matrix<f64> {
         let m = queries.len();
         let row_len = self.alpha() * self.n;
@@ -269,30 +270,36 @@ impl PrototypeBank {
             return data;
         }
         self.validate_queries(queries);
-        let (n, z) = (self.n, self.z_per_layer);
-        if threads <= 1 || m < threads {
-            let mut scratch = RowScratch::default();
-            for (q, row) in data.as_mut_slice().chunks_mut(row_len).enumerate() {
-                fill_row(row, &queries[q], &self.layers, n, z, &mut scratch);
-            }
-        } else {
-            let chunk = m.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, rows_chunk) in data.as_mut_slice().chunks_mut(chunk * row_len).enumerate() {
-                    let start = t * chunk;
-                    let layers = &self.layers;
-                    scope.spawn(move || {
-                        // One workspace per worker, reused across every row
-                        // and layer it fills.
-                        let mut scratch = RowScratch::default();
-                        for (local, row) in rows_chunk.chunks_mut(row_len).enumerate() {
-                            fill_row(row, &queries[start + local], layers, n, z, &mut scratch);
-                        }
-                    });
-                }
-            });
-        }
+        goggles_tensor::pool::for_each_chunk_mut(
+            data.as_mut_slice(),
+            row_len,
+            threads,
+            |q, row| self.fill_validated_row(&queries[q], row),
+        );
         data
+    }
+
+    /// The `1 × αN` affinity row of one query, written into `row` (laid out
+    /// like one row of [`PrototypeBank::affinity_rows`], which computes
+    /// every row through this method). Runs on the calling thread with the
+    /// thread's own kernel workspace, kept in a thread-local across calls.
+    ///
+    /// # Panics
+    /// If `row` is not `α·N` long, or the query was embedded with a
+    /// different backbone geometry than the bank's.
+    pub fn affinity_row(&self, query: &ImageEmbedding, row: &mut [f64]) {
+        self.validate_queries(std::slice::from_ref(query));
+        self.fill_validated_row(query, row);
+    }
+
+    /// [`PrototypeBank::affinity_row`] for a query whose geometry was
+    /// already checked.
+    fn fill_validated_row(&self, query: &ImageEmbedding, row: &mut [f64]) {
+        assert_eq!(row.len(), self.alpha() * self.n, "affinity row must be α·N long");
+        // `fill_row` calls nothing that could borrow the scratch again.
+        ROW_SCRATCH.with(|cell| {
+            fill_row(row, query, &self.layers, self.n, self.z_per_layer, &mut cell.borrow_mut())
+        });
     }
 
     /// The pre-blocking scalar reference path: the same `m × αN` rows via
@@ -342,7 +349,8 @@ impl PrototypeBank {
 
 impl AffinityMatrix {
     /// Build the matrix from per-image embeddings (Algorithm 1 applied to
-    /// all ordered pairs). `threads` bounds the row-parallel fan-out.
+    /// all ordered pairs). `threads` caps the participants that fill rows
+    /// (see [`PrototypeBank::affinity_rows`]).
     pub fn build(embeddings: &[ImageEmbedding], threads: usize) -> Self {
         let bank = PrototypeBank::from_embeddings(embeddings);
         let data = bank.affinity_rows(embeddings, threads);
@@ -471,6 +479,12 @@ pub struct ScoreDistribution {
 struct RowScratch {
     kernel: goggles_tensor::ColmaxScratch,
     best: Vec<f32>,
+}
+
+thread_local! {
+    /// Every thread's [`RowScratch`], kept across calls.
+    static ROW_SCRATCH: std::cell::RefCell<RowScratch> =
+        std::cell::RefCell::new(RowScratch::default());
 }
 
 /// Fill row `i` of the affinity matrix: for every layer, run the blocked

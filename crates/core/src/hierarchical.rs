@@ -10,14 +10,14 @@
 //! Bernoulli mixture whose parameters `b_{k,l}` learn each affinity
 //! function's reliability.
 //!
-//! Base models are independent, so they are fit on a thread fan-out — the
-//! parallelization §5.3 of the paper describes.
+//! Base models are independent, so they are fit in parallel on the
+//! process-wide [`goggles_tensor::pool`] — the parallelization §5.3 of the
+//! paper describes.
 
 use crate::affinity::AffinityMatrix;
 use crate::Result;
 use goggles_models::{BernoulliMixture, DiagonalGmm, EmOptions};
 use goggles_tensor::Matrix;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for the hierarchical model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,7 +30,8 @@ pub struct HierarchicalOptions {
     /// behaviour). `false` feeds raw probabilities — an ablation knob that
     /// demonstrates the §4.1 argument for categorical modeling.
     pub one_hot: bool,
-    /// Thread fan-out for the base models.
+    /// Most participants of the process-wide [`goggles_tensor::pool`] that
+    /// fit the base models (the calling thread included).
     pub threads: usize,
     /// Seed for all stochastic initialization.
     pub seed: u64,
@@ -356,44 +357,25 @@ fn refit_base_models_warm(
 }
 
 /// Run `fit(f)` for every affinity function `f < alpha` on up to `threads`
-/// workers. Workers claim the next unfitted function from a shared counter
-/// instead of owning a fixed chunk: the deep-layer functions run several
-/// times more EM iterations than the shallow ones and sit together at the
-/// end of the index range, so a static split leaves one worker with most of
-/// the work. Claims run from `alpha − 1` down to 0, longest fits first, so
-/// the cheap shallow fits fill in at the end instead of one deep fit
-/// finishing alone. Each fit depends only on `f`, and its result lands in
-/// slot `f`, so the output is the same for every thread count and claiming
-/// order.
+/// participants of the process-wide [`goggles_tensor::pool`] (the calling
+/// thread and the pool's helpers; `threads` caps them and spawns nothing).
+/// Participants claim the next unfitted function from the pool's shared
+/// counter instead of owning a fixed chunk: the deep-layer functions run
+/// several times more EM iterations than the shallow ones and sit together
+/// at the end of the index range, so a static split leaves one worker with
+/// most of the work. Claim `c` fits function `alpha − 1 − c`, longest fits
+/// first, so the cheap shallow fits fill in at the end instead of one deep
+/// fit finishing alone. Each fit depends only on `f`, and its result lands
+/// in slot `f`, so the output is the same for every thread count and
+/// claiming order.
 fn fit_each_function(
     alpha: usize,
     threads: usize,
     fit: impl Fn(usize) -> goggles_models::Result<DiagonalGmm> + Sync,
 ) -> Result<Vec<DiagonalGmm>> {
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            let claimed = next.fetch_add(1, Ordering::Relaxed);
-            if claimed >= alpha {
-                return done;
-            }
-            let f = alpha - 1 - claimed;
-            done.push((f, fit(f).map_err(Into::into)));
-        }
-    };
-    let mut results: Vec<Option<Result<DiagonalGmm>>> = Vec::new();
-    results.resize_with(alpha, || None);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.max(1).min(alpha)).map(|_| scope.spawn(claim)).collect();
-        for worker in workers {
-            let done = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (f, fit) in done {
-                results[f] = Some(fit);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every function was claimed")).collect()
+    let mut fits = goggles_tensor::pool::map(alpha, threads, |claimed| fit(alpha - 1 - claimed));
+    fits.reverse();
+    fits.into_iter().map(|fit| fit.map_err(Into::into)).collect()
 }
 
 /// Concatenate α label-prediction matrices into the ensemble input

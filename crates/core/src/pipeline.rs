@@ -36,7 +36,9 @@ pub struct GogglesConfig {
     /// `prototypes::embed_image`); irrelevant-to-harmful with a genuinely
     /// pretrained backbone, hence configurable.
     pub center_patches: bool,
-    /// Thread fan-out for embedding, affinity and base-model fitting.
+    /// Most participants (the calling thread plus helpers of the
+    /// process-wide [`goggles_tensor::pool`]) for embedding, affinity and
+    /// base-model fitting. A cap only: no thread is spawned per call.
     pub threads: usize,
     /// Seed for all inference-side randomness.
     pub seed: u64,

@@ -13,29 +13,45 @@
 use goggles_cnn::{ConvScratch, Vgg16};
 use goggles_tensor::{Matrix, Tensor3};
 use goggles_vision::Image;
+use std::sync::{Mutex, PoisonError};
 
-/// Per-worker scratch arenas for [`embed_images_with`]: one backbone
-/// [`ConvScratch`] per embedding thread, grown lazily to the thread budget
-/// and reused across calls. A long-lived worker (e.g. a `goggles-serve`
-/// labeling thread) holds one of these so embedding a request performs no
-/// backbone allocations beyond the five returned tap tensors per image.
+/// The caller's own backbone arena for [`embed_images_with`]. A long-lived
+/// caller (e.g. a `goggles-serve` labeling worker) holds one, so embedding a
+/// request performs no backbone allocations beyond the five returned tap
+/// tensors per image. The [`goggles_tensor::pool`] helpers that join its
+/// calls embed through their own thread-local arenas
+/// ([`goggles_cnn::with_thread_scratch`]).
 #[derive(Debug, Default)]
 pub struct EmbedScratch {
-    per_thread: Vec<ConvScratch>,
+    /// Locked only by the calling thread: a pool job shares the scratch by
+    /// reference, and helpers never touch it.
+    arena: Mutex<ConvScratch>,
 }
 
 impl EmbedScratch {
-    /// An empty scratch; arenas are created on first use.
+    /// An empty scratch; the arena grows on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Ensure at least `threads` arenas exist and borrow them.
-    fn arenas(&mut self, threads: usize) -> &mut [ConvScratch] {
-        if self.per_thread.len() < threads {
-            self.per_thread.resize_with(threads, ConvScratch::new);
+    /// [`embed_image_with`] through the current participant's arena: a
+    /// pool helper's thread-local one, or this scratch's own for any other
+    /// thread (the caller). The embedding does not depend on which.
+    pub fn embed_image(
+        &self,
+        net: &Vgg16,
+        img: &Image,
+        z: usize,
+        center_patches: bool,
+    ) -> ImageEmbedding {
+        if goggles_tensor::pool::on_helper() {
+            goggles_cnn::with_thread_scratch(|arena| {
+                embed_image_with(net, arena, img, z, center_patches)
+            })
+        } else {
+            let mut arena = self.arena.lock().unwrap_or_else(PoisonError::into_inner);
+            embed_image_with(net, &mut arena, img, z, center_patches)
         }
-        &mut self.per_thread[..threads]
     }
 }
 
@@ -181,7 +197,9 @@ pub fn embed_from_taps(taps: &[Tensor3<f32>], z: usize, center_patches: bool) ->
     ImageEmbedding { layers }
 }
 
-/// Embed a batch of images, fanning out across `threads` OS threads.
+/// Embed a batch of images on up to `threads` participants of the
+/// process-wide [`goggles_tensor::pool`] (the calling thread and the pool's
+/// helpers; `threads` caps them and spawns nothing).
 ///
 /// CNN inference dominates the pipeline cost; the images are independent so
 /// this is an embarrassingly parallel map (the paper makes the same
@@ -196,11 +214,13 @@ pub fn embed_images(
     embed_images_with(net, &mut EmbedScratch::new(), images, z, threads, center_patches)
 }
 
-/// [`embed_images`] against a caller-owned [`EmbedScratch`]: each worker
-/// thread embeds its image chunk through its own arena, so across a batch
-/// (and across calls, when the scratch outlives them) the backbone performs
-/// no per-image allocations beyond the returned embeddings. Results are
-/// identical for every thread count.
+/// [`embed_images`] against a caller-owned [`EmbedScratch`]. Participants
+/// claim images one at a time; the calling thread embeds through the
+/// scratch's arena and each pool helper through its thread-local one, so
+/// across calls (when the scratch outlives them) the backbone performs no
+/// per-image allocations beyond the returned embeddings. Embedding `i`
+/// lands in slot `i`, so results are identical for every thread count and
+/// schedule.
 pub fn embed_images_with(
     net: &Vgg16,
     scratch: &mut EmbedScratch,
@@ -209,39 +229,10 @@ pub fn embed_images_with(
     threads: usize,
     center_patches: bool,
 ) -> Vec<ImageEmbedding> {
-    let threads = threads.max(1).min(images.len().max(1));
-    if threads <= 1 || images.len() < 4 {
-        let arena = &mut scratch.arenas(1)[0];
-        return images
-            .iter()
-            .map(|img| embed_image_with(net, arena, img, z, center_patches))
-            .collect();
-    }
-    let chunk = images.len().div_ceil(threads);
-    let arenas = scratch.arenas(threads);
-    let mut results: Vec<ImageEmbedding> = Vec::with_capacity(images.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = images
-            .chunks(chunk)
-            .zip(arenas.iter_mut())
-            .map(|(imgs, arena)| {
-                scope.spawn(move || {
-                    imgs.iter()
-                        .map(|img| embed_image_with(net, arena, img, z, center_patches))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A worker can only fail by panicking; re-raise its payload
-            // (exactly what the implicit end-of-scope join would do).
-            match handle.join() {
-                Ok(embedded) => results.extend(embedded),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    results
+    let scratch = &*scratch;
+    goggles_tensor::pool::map(images.len(), threads, |i| {
+        scratch.embed_image(net, images[i], z, center_patches)
+    })
 }
 
 #[cfg(test)]

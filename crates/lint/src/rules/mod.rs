@@ -79,13 +79,14 @@ pub(crate) const DETERMINISM_PREFIXES: &[&str] = &[
     "crates/datasets/src/",
 ];
 
-/// Resilience-layer modules added to the *panic* rules' scope only: the
-/// fault injector sits inline on every failpoint probe and the health
-/// endpoint answers load-balancer traffic, so neither may panic — but both
-/// hold locks and non-Relaxed atomics by design, so subjecting them to the
-/// full hot-path ruleset (atomics, alloc-hot) would only breed allows.
+/// Modules added to the *panic* rules' scope only: the fault injector sits
+/// inline on every failpoint probe, the health endpoint answers
+/// load-balancer traffic and the fan-out pool runs every served batch, so
+/// none of them may panic — but all hold locks by design, so subjecting
+/// them to the full hot-path ruleset (atomics, alloc-hot) would only breed
+/// allows.
 pub(crate) const PANIC_SCOPE_EXTRA: &[&str] =
-    &["crates/serve/src/fault.rs", "crates/obs/src/http.rs"];
+    &["crates/serve/src/fault.rs", "crates/obs/src/http.rs", "crates/tensor/src/pool.rs"];
 
 pub(crate) fn is_hot_path(file: &SourceFile) -> bool {
     HOT_PATHS.contains(&file.rel.as_str())

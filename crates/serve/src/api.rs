@@ -189,7 +189,7 @@ impl Labeler for FittedLabeler {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(Ticket::ready(Err(ServeError::Deadline)));
         }
-        let (label, probs) = self.label_one(&image);
+        let (label, probs) = self.label_one_checked(&image);
         Ok(Ticket::ready(Ok(LabelResponse { label, probs, batch_size: 1, version: 0 })))
     }
 
@@ -198,7 +198,7 @@ impl Labeler for FittedLabeler {
     /// `Arc`.
     fn label(&self, image: &Image) -> ServeResult<LabelResponse> {
         crate::check_pixels(image)?;
-        let (label, probs) = self.label_one(image);
+        let (label, probs) = self.label_one_checked(image);
         Ok(LabelResponse { label, probs, batch_size: 1, version: 0 })
     }
 

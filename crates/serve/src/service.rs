@@ -62,12 +62,16 @@ pub struct ServeConfig {
     /// Bound on queued (not yet running) requests; producers block when the
     /// queue is full (backpressure, not unbounded memory).
     pub queue_capacity: usize,
-    /// Thread fan-out *inside* one batch's embedding/affinity computation:
-    /// a batch's images are spread over up to this many threads, and a
-    /// single-image request runs on the worker's own thread. Results are
-    /// bit-identical for every value. The default is the cores left per
-    /// worker (`⌈available_parallelism / workers⌉`, at least 1) **for the
-    /// default two-worker pool** — when overriding `workers`, use
+    /// Most participants in one batch's labeling pass: the worker itself
+    /// plus up to `embed_threads − 1` helpers of the process-wide
+    /// [`goggles_tensor::pool`], which claim the batch's images one at a
+    /// time and embed each and compute its affinity row in one go. A cap
+    /// only: no thread is spawned per batch, and a batch that finds the
+    /// pool busy (another worker's batch holds it) or holds a single image
+    /// runs on the worker's own thread. Results are bit-identical for every
+    /// value. The default is the cores left per worker
+    /// (`⌈available_parallelism / workers⌉`, at least 1) **for the default
+    /// two-worker pool** — when overriding `workers`, use
     /// [`ServeConfig::with_workers`] (or set this field too) so the budget
     /// is recomputed instead of inherited from the 2-worker default.
     pub embed_threads: usize,
@@ -883,10 +887,14 @@ fn salvage_batch(shared: &Shared, lease: &PublishedSnapshot, batch: Vec<Request>
     }
     for request in batch {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lease.labeler().label_batch(&[request.image.as_ref()], shared.config.embed_threads)
+            lease.labeler().label_batch_traced(
+                &mut EmbedScratch::new(),
+                &[request.image.as_ref()],
+                shared.config.embed_threads,
+            )
         }));
         match outcome {
-            Ok(labels) => respond(shared, lease, std::slice::from_ref(&request), &labels),
+            Ok((labels, _)) => respond(shared, lease, std::slice::from_ref(&request), &labels),
             Err(_) => {
                 shared.metrics.requests_failed.inc();
                 let _ = request.respond.send(Err(ServeError::Closed));

@@ -19,7 +19,7 @@ use crate::{ServeError, ServeResult};
 use goggles_cnn::{Vgg16, VggConfig};
 use goggles_core::hierarchical::fold_in_rows;
 use goggles_core::mapping::apply_mapping;
-use goggles_core::prototypes::{embed_images, embed_images_with, EmbedScratch};
+use goggles_core::prototypes::{embed_images, EmbedScratch};
 use goggles_core::{
     Goggles, GogglesConfig, HierarchicalModel, LabelingResult, ProbabilisticLabels, PrototypeBank,
 };
@@ -27,12 +27,25 @@ use goggles_datasets::{Dataset, DevSet};
 use goggles_models::{BernoulliMixture, DiagonalGmm, FitStats};
 use goggles_tensor::Matrix;
 use goggles_vision::Image;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Magic bytes of the snapshot container.
 const MAGIC: &[u8; 8] = b"GGLSNAP\x01";
 /// Version of the one snapshot format [`FittedLabeler::save`] writes and
 /// [`FittedLabeler::load`] accepts.
 const VERSION_V1: u32 = 1;
+
+/// The inherent labeling methods' refusal of an image they cannot label:
+/// a panic, since their return types carry no error. The message is the
+/// [`crate::check_pixels`] verdict.
+fn refuse_out_of_range(images: &[&Image]) {
+    for image in images {
+        if let Err(e) = crate::check_pixels(image) {
+            panic!("FittedLabeler cannot label this image: {e}");
+        }
+    }
+}
 
 /// Frozen `DiagonalGmm`: same parameters, no training-side responsibilities
 /// (they are not part of the snapshot) and canonical stats — so labelers
@@ -63,12 +76,21 @@ fn frozen_ensemble(weights: Vec<f64>, probs: Matrix<f64>) -> BernoulliMixture {
 /// `FittedLabeler::label_batch_traced`. Durations are whole-batch, in
 /// microseconds; they are measurements only and never feed back into the
 /// computation.
+///
+/// Embedding and affinity run fused: each participant of the batch's pool
+/// pass embeds an image and immediately computes its affinity row. So
+/// `embed_us + affinity_us` is the pass's wall time, split between the two
+/// in proportion to the embed and affinity time the participants measured
+/// per image (summed over the batch). With two participants each busy the
+/// whole pass, the split is the share of core time each stage took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 // goggles-lint: allow(dead-pub): return type of pub label_batch_traced; external callers reach it through inference
 pub struct StageTiming {
-    /// Backbone forward passes + max-pool tap extraction (im2col/GEMM).
+    /// Backbone forward passes + max-pool tap extraction (im2col/GEMM):
+    /// the embed share of the fused pass.
     pub embed_us: u64,
-    /// Affinity rows against the frozen prototype bank (colmax matmul).
+    /// Affinity rows against the frozen prototype bank (colmax matmul):
+    /// the rest of the fused pass.
     pub affinity_us: u64,
     /// End model: base-GMM posteriors, ensemble fold-in, class mapping.
     pub endmodel_us: u64,
@@ -225,12 +247,18 @@ impl FittedLabeler {
     /// Affinity rows (`m × αN`) for new images against the **frozen**
     /// prototype bank — the incremental-append path: embeddings are computed
     /// with the stored backbone recipe and each row is produced by exactly
-    /// the same kernel the serving path uses, so appending these rows to the
+    /// the same pass the serving path uses, so appending these rows to the
     /// training matrix is bit-identical to having rebuilt it with the new
     /// images present (for the original rows; see the append proptest).
+    ///
+    /// # Panics
+    /// If a pixel of any image lies outside `[0, 1]` (NaN and ±inf
+    /// included), as [`crate::check_pixels`] decides. The [`crate::Labeler`]
+    /// impl refuses such an image with a typed
+    /// [`ServeError::InvalidImage`] instead.
     pub fn affinity_rows_for(&self, images: &[&Image], threads: usize) -> Matrix<f64> {
-        let embeddings = embed_images(&self.net, images, self.top_z, threads, self.center_patches);
-        self.bank.affinity_rows(&embeddings, threads)
+        refuse_out_of_range(images);
+        self.embed_and_score(&EmbedScratch::new(), images, threads).0
     }
 
     /// Rebuild a [`HierarchicalModel`] view of the frozen parameters (empty
@@ -308,46 +336,87 @@ impl FittedLabeler {
     /// `1 × αN` affinity row against the stored prototypes and folds it
     /// through the stored models — no training-matrix rebuild, no refit.
     /// Returns class-aligned probabilistic labels (mapping applied).
+    ///
+    /// # Panics
+    /// If a pixel of any image lies outside `[0, 1]` (NaN and ±inf
+    /// included), as [`crate::check_pixels`] decides. The [`crate::Labeler`]
+    /// impl refuses such an image with a typed
+    /// [`ServeError::InvalidImage`] instead.
     pub fn label_batch(&self, images: &[&Image], threads: usize) -> ProbabilisticLabels {
+        refuse_out_of_range(images);
         self.label_batch_traced(&mut EmbedScratch::new(), images, threads).0
     }
 
     /// [`FittedLabeler::label_batch`] against a caller-owned
-    /// [`EmbedScratch`], also reporting how long each internal stage took.
-    /// A long-lived worker (each [`crate::LabelService`] thread holds one
-    /// scratch) reuses the backbone's im2col/GEMM/activation arenas across
-    /// requests, so steady-state labeling allocates nothing on the
-    /// embedding side beyond the per-image tap tensors. Timing adds only
-    /// three clock reads around the stage calls, so the labels are
-    /// bit-identical for any scratch history (the observability layer's
+    /// [`EmbedScratch`], also reporting how long each internal stage took
+    /// (see [`StageTiming`] for how the fused pass is split). A long-lived
+    /// worker (each [`crate::LabelService`] thread holds one scratch) reuses
+    /// the backbone's im2col/GEMM/activation arenas across requests, so
+    /// steady-state labeling allocates nothing on the embedding side beyond
+    /// the per-image tap tensors. Timing only reads clocks, so the labels
+    /// are bit-identical for any scratch history (the observability layer's
     /// core guarantee).
+    ///
+    /// Pixels are not checked here: the service refuses out-of-range ones
+    /// at submission.
     pub(crate) fn label_batch_traced(
         &self,
         scratch: &mut EmbedScratch,
         images: &[&Image],
         threads: usize,
     ) -> (ProbabilisticLabels, StageTiming) {
-        if images.is_empty() {
-            return (
-                ProbabilisticLabels { probs: Matrix::zeros(0, self.num_classes) },
-                StageTiming::default(),
-            );
-        }
-        let t0 = std::time::Instant::now();
-        let embeddings =
-            embed_images_with(&self.net, scratch, images, self.top_z, threads, self.center_patches);
-        let t1 = std::time::Instant::now();
-        let rows = self.bank.affinity_rows(&embeddings, threads);
-        let t2 = std::time::Instant::now();
+        let (rows, mut timing) = self.embed_and_score(scratch, images, threads);
+        let t0 = Instant::now();
         let cluster_probs = self.fold_in(&rows);
         let labels = ProbabilisticLabels { probs: apply_mapping(&cluster_probs, &self.mapping) };
-        let t3 = std::time::Instant::now();
-        let timing = StageTiming {
-            embed_us: t1.duration_since(t0).as_micros() as u64,
-            affinity_us: t2.duration_since(t1).as_micros() as u64,
-            endmodel_us: t3.duration_since(t2).as_micros() as u64,
-        };
+        timing.endmodel_us = t0.elapsed().as_micros() as u64;
         (labels, timing)
+    }
+
+    /// The one pass behind every labeling call: on up to `threads`
+    /// participants of the process-wide [`goggles_tensor::pool`] (the
+    /// calling thread and the pool's helpers), each participant claims an
+    /// image, embeds it (the caller through `scratch`, a helper through its
+    /// own arena) and immediately computes its affinity row into row `i` of
+    /// the result. Rows are bit-identical for every thread count and
+    /// schedule. The timing's `embed_us`/`affinity_us` split the pass's wall
+    /// time as [`StageTiming`] documents; `endmodel_us` is left 0.
+    fn embed_and_score(
+        &self,
+        scratch: &EmbedScratch,
+        images: &[&Image],
+        threads: usize,
+    ) -> (Matrix<f64>, StageTiming) {
+        let row_len = self.bank.alpha() * self.bank.n;
+        let mut rows = Matrix::<f64>::zeros(images.len(), row_len);
+        let embed_ns = AtomicU64::new(0);
+        let affinity_ns = AtomicU64::new(0);
+        let start = Instant::now();
+        goggles_tensor::pool::for_each_chunk_mut(
+            rows.as_mut_slice(),
+            row_len,
+            threads,
+            |i, row| {
+                let t0 = Instant::now();
+                let embedding =
+                    scratch.embed_image(&self.net, images[i], self.top_z, self.center_patches);
+                let t1 = Instant::now();
+                self.bank.affinity_row(&embedding, row);
+                embed_ns.fetch_add(t1.duration_since(t0).as_nanos() as u64, Ordering::Relaxed);
+                affinity_ns.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            },
+        );
+        let wall_us = start.elapsed().as_micros() as u64;
+        let (embed, affinity) = (embed_ns.into_inner(), affinity_ns.into_inner());
+        let embed_us = match embed.checked_add(affinity) {
+            Some(total) if total > 0 => {
+                (u128::from(wall_us) * u128::from(embed) / u128::from(total)) as u64
+            }
+            _ => wall_us,
+        };
+        let timing =
+            StageTiming { embed_us, affinity_us: wall_us - embed_us, ..StageTiming::default() };
+        (rows, timing)
     }
 
     /// Estimated backbone flops per labeled image — surfaced as the
@@ -359,8 +428,19 @@ impl FittedLabeler {
 
     /// Label a single image on the calling thread; returns the argmax class
     /// and the full class-probability row.
+    ///
+    /// # Panics
+    /// As [`FittedLabeler::label_batch`]: on a pixel outside `[0, 1]`.
     pub fn label_one(&self, image: &Image) -> (usize, Vec<f64>) {
-        let labels = self.label_batch(&[image], 1);
+        refuse_out_of_range(&[image]);
+        self.label_one_checked(image)
+    }
+
+    /// [`FittedLabeler::label_one`] for an image whose pixels the caller
+    /// has already checked (the [`crate::Labeler`] impl, which answers a
+    /// bad one with a typed error).
+    pub(crate) fn label_one_checked(&self, image: &Image) -> (usize, Vec<f64>) {
+        let labels = self.label_batch_traced(&mut EmbedScratch::new(), &[image], 1).0;
         let row = labels.probs.row(0).to_vec();
         (goggles_tensor::argmax(&row), row)
     }
@@ -928,6 +1008,74 @@ mod tests {
             assert_eq!(row, batch.probs.row(i));
             assert_eq!(hard, goggles_tensor::argmax(batch.probs.row(i)));
         }
+    }
+
+    #[test]
+    fn fused_batch_matches_the_recomposed_path_bit_for_bit() {
+        // embed → affinity rows → fold-in → mapping, stage by stage on one
+        // thread, against the fused per-image pool pass.
+        let (labeler, _, ds, _) = fitted(9);
+        let imgs = ds.test_images();
+        assert!(imgs.len() >= 9);
+        let mut scratch = EmbedScratch::new();
+        for size in 1..=9 {
+            let batch = &imgs[..size];
+            let embeddings = goggles_core::prototypes::embed_images_with(
+                &labeler.net,
+                &mut scratch,
+                batch,
+                labeler.top_z,
+                1,
+                labeler.center_patches,
+            );
+            let rows = labeler.bank.affinity_rows(&embeddings, 1);
+            let cluster =
+                fold_in_rows(&labeler.base_models, &labeler.ensemble, labeler.one_hot, &rows);
+            let expected = apply_mapping(&cluster, &labeler.mapping);
+            for threads in [1usize, 2, 3, 8] {
+                let fused = labeler.label_batch(batch, threads);
+                assert_eq!(fused.probs, expected, "batch {size}, threads {threads}");
+                let fused_rows = labeler.affinity_rows_for(batch, threads);
+                assert_eq!(fused_rows, rows, "rows: batch {size}, threads {threads}");
+            }
+        }
+    }
+
+    /// An in-range test image with pixel 5 set to `value`.
+    fn image_with_pixel(ds: &Dataset, value: f32) -> Image {
+        let mut image = ds.test_images()[0].clone();
+        image.tensor_mut().as_mut_slice()[5] = value;
+        image
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn label_one_refuses_a_huge_pixel() {
+        let (labeler, _, ds, _) = fitted(10);
+        labeler.label_one(&image_with_pixel(&ds, 1e30));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn label_batch_refuses_a_max_pixel() {
+        let (labeler, _, ds, _) = fitted(10);
+        let bad = image_with_pixel(&ds, f32::MAX);
+        let good = ds.test_images();
+        labeler.label_batch(&[good[0], &bad, good[1]], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn affinity_rows_for_refuses_a_nan_pixel() {
+        let (labeler, _, ds, _) = fitted(10);
+        labeler.affinity_rows_for(&[&image_with_pixel(&ds, f32::NAN)], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn label_batch_refuses_a_negative_pixel() {
+        let (labeler, _, ds, _) = fitted(10);
+        labeler.label_batch(&[&image_with_pixel(&ds, -1e-3)], 1);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 pub mod linalg;
 pub mod matrix;
+pub mod pool;
 pub mod rng;
 pub mod scalar;
 pub mod stats;
