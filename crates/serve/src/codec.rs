@@ -3,8 +3,13 @@
 //!
 //! Everything is little-endian and length-prefixed; floats are bit-exact
 //! (`to_le_bytes`/`from_le_bytes`), so `save → load → save` is byte-for-byte
-//! stable. A trailing FNV-1a checksum over the payload catches truncation
-//! and bit rot at load time.
+//! stable. Float and integer slices are converted a whole slice at a time
+//! (one reservation or one bounds check, then a branch-free loop over
+//! fixed-size chunks), which produces the same bytes as converting one
+//! element at a time. Two checksums live here: [`fnv1a`] for the snapshot
+//! trailer (its bytes are pinned, so it stays) and [`xxh64`] for the wire
+//! frame trailer, where the checksum runs on every request and must keep
+//! up with memory.
 
 use crate::{ServeError, ServeResult};
 use goggles_tensor::Matrix;
@@ -16,6 +21,7 @@ use goggles_tensor::Matrix;
 pub const MAX_SMALL_LEN: usize = 1 << 20;
 
 /// FNV-1a over a byte slice (the checksum used by the snapshot trailer).
+/// Byte-serial (one dependent multiply per byte); the wire uses [`xxh64`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -23,6 +29,68 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 lane step: fold a 64-bit word into an accumulator.
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2)).rotate_left(31).wrapping_mul(XXH_P1)
+}
+
+/// Fold a finished lane accumulator into the converged hash.
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    (h ^ xxh_round(0, lane)).wrapping_mul(XXH_P1).wrapping_add(XXH_P4)
+}
+
+/// XXH64 with seed 0 (the checksum of the wire frame trailer). Four
+/// independent multiply–rotate lanes consume 32-byte stripes, so it runs at
+/// memory speed rather than one multiply per byte, and the final avalanche
+/// makes every input bit reach every output bit: a single bit flip anywhere
+/// always changes the hash.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let (words, rest) = bytes.as_chunks::<8>();
+    let (stripes, tail_words) = words.as_chunks::<4>();
+    let mut h = if stripes.is_empty() {
+        XXH_P5
+    } else {
+        let mut lanes = [XXH_P1.wrapping_add(XXH_P2), XXH_P2, 0, 0u64.wrapping_sub(XXH_P1)];
+        for stripe in stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe) {
+                *lane = xxh_round(*lane, u64::from_le_bytes(*word));
+            }
+        }
+        let [v1, v2, v3, v4] = lanes;
+        let h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        lanes.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    for word in tail_words {
+        h ^= xxh_round(0, u64::from_le_bytes(*word));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+    }
+    let (halves, bytes_left) = rest.as_chunks::<4>();
+    for half in halves {
+        h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(XXH_P1);
+        h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+    }
+    for &b in bytes_left {
+        h ^= u64::from(b).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// Append-only byte sink.
@@ -71,54 +139,48 @@ impl Writer {
         self.put_u64(v as u64);
     }
 
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Append every value of `vs` as `N` little-endian bytes: one resize,
+    /// then a loop over fixed-size chunks that compiles to a straight copy
+    /// on little-endian targets. Same bytes as `N`-byte pushes one by one.
+    fn put_le_slice<T: Copy, const N: usize>(&mut self, vs: &[T], to_le: fn(T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + N * vs.len(), 0);
+        let (dst, _) = self.buf.get_mut(start..).unwrap_or_default().as_chunks_mut::<N>();
+        for (d, &v) in dst.iter_mut().zip(vs) {
+            *d = to_le(v);
+        }
     }
 
     /// Length-prefixed `usize` slice.
     pub(crate) fn put_usize_slice(&mut self, vs: &[usize]) {
         self.put_usize(vs.len());
-        for &v in vs {
-            self.put_usize(v);
-        }
+        self.put_le_slice(vs, |v| (v as u64).to_le_bytes());
     }
 
     /// Length-prefixed `f64` slice.
     pub(crate) fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_usize(vs.len());
-        for &v in vs {
-            self.put_f64(v);
-        }
+        self.put_le_slice(vs, f64::to_le_bytes);
     }
 
     /// Shape-prefixed `f64` matrix (row-major payload).
     pub(crate) fn put_matrix_f64(&mut self, m: &Matrix<f64>) {
         self.put_usize(m.rows());
         self.put_usize(m.cols());
-        for &v in m.as_slice() {
-            self.put_f64(v);
-        }
+        self.put_le_slice(m.as_slice(), f64::to_le_bytes);
     }
 
     /// Shape-prefixed `f32` matrix (row-major payload).
     pub(crate) fn put_matrix_f32(&mut self, m: &Matrix<f32>) {
         self.put_usize(m.rows());
         self.put_usize(m.cols());
-        for &v in m.as_slice() {
-            self.put_f32(v);
-        }
+        self.put_le_slice(m.as_slice(), f32::to_le_bytes);
     }
 
     /// Raw (no length prefix) `f32` payload — wire image pixels, whose
     /// count the frame implies from the image shape.
     pub(crate) fn put_f32_slice_raw(&mut self, vs: &[f32]) {
-        for &v in vs {
-            self.put_f32(v);
-        }
+        self.put_le_slice(vs, f32::to_le_bytes);
     }
 }
 
@@ -147,7 +209,7 @@ impl<'a> Reader<'a> {
     pub fn take(&mut self, n: usize) -> ServeResult<&'a [u8]> {
         let Some(out) = self.pos.checked_add(n).and_then(|end| self.buf.get(self.pos..end)) else {
             return Err(ServeError::Snapshot(format!(
-                "unexpected end of snapshot: wanted {n} bytes at offset {}, {} left",
+                "unexpected end of input: wanted {n} bytes at offset {}, {} left",
                 self.pos,
                 self.remaining()
             )));
@@ -204,14 +266,6 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    pub fn get_f64(&mut self) -> ServeResult<f64> {
-        Ok(f64::from_le_bytes(self.take_array::<8>()?))
-    }
-
-    pub fn get_f32(&mut self) -> ServeResult<f32> {
-        Ok(f32::from_le_bytes(self.take_array::<4>()?))
-    }
-
     pub fn get_usize_slice(&mut self) -> ServeResult<Vec<usize>> {
         let n = self.get_len(self.remaining() / 8)?;
         (0..n).map(|_| self.get_usize()).collect()
@@ -219,43 +273,48 @@ impl<'a> Reader<'a> {
 
     pub fn get_f64_slice(&mut self) -> ServeResult<Vec<f64>> {
         let n = self.get_len(self.remaining() / 8)?;
-        (0..n).map(|_| self.get_f64()).collect()
+        self.get_le_vec(n, f64::from_le_bytes)
     }
 
-    pub fn get_matrix_f64(&mut self) -> ServeResult<Matrix<f64>> {
+    /// Exactly `len` values of `N` little-endian bytes each, converted a
+    /// whole slice at a time. Bounded by the remaining input before any
+    /// allocation.
+    fn get_le_vec<T, const N: usize>(
+        &mut self,
+        len: usize,
+        from_le: fn([u8; N]) -> T,
+    ) -> ServeResult<Vec<T>> {
+        if len > self.remaining() / N {
+            return Err(ServeError::Snapshot(format!(
+                "{len} values of {N} bytes at offset {} overrun the {} bytes left",
+                self.pos,
+                self.remaining()
+            )));
+        }
+        let (chunks, _) = self.take(len * N)?.as_chunks::<N>();
+        Ok(chunks.iter().map(|&c| from_le(c)).collect())
+    }
+
+    /// Shape prefix of a matrix: `rows`, `cols` and their product.
+    fn get_matrix_shape(&mut self) -> ServeResult<(usize, usize, usize)> {
         let rows = self.get_usize()?;
         let cols = self.get_usize()?;
         let len = rows
             .checked_mul(cols)
             .ok_or_else(|| ServeError::Snapshot(format!("matrix shape {rows}×{cols} overflows")))?;
-        if len > self.remaining() / 8 {
-            return Err(ServeError::Snapshot(format!(
-                "matrix {rows}×{cols} larger than remaining snapshot"
-            )));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(self.get_f64()?);
-        }
+        Ok((rows, cols, len))
+    }
+
+    pub fn get_matrix_f64(&mut self) -> ServeResult<Matrix<f64>> {
+        let (rows, cols, len) = self.get_matrix_shape()?;
+        let data = self.get_le_vec(len, f64::from_le_bytes)?;
         Matrix::from_vec(rows, cols, data)
             .map_err(|e| ServeError::Snapshot(format!("matrix decode: {e}")))
     }
 
     pub fn get_matrix_f32(&mut self) -> ServeResult<Matrix<f32>> {
-        let rows = self.get_usize()?;
-        let cols = self.get_usize()?;
-        let len = rows
-            .checked_mul(cols)
-            .ok_or_else(|| ServeError::Snapshot(format!("matrix shape {rows}×{cols} overflows")))?;
-        if len > self.remaining() / 4 {
-            return Err(ServeError::Snapshot(format!(
-                "matrix {rows}×{cols} larger than remaining snapshot"
-            )));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(self.get_f32()?);
-        }
+        let (rows, cols, len) = self.get_matrix_shape()?;
+        let data = self.get_le_vec(len, f32::from_le_bytes)?;
         Matrix::from_vec(rows, cols, data)
             .map_err(|e| ServeError::Snapshot(format!("matrix decode: {e}")))
     }
@@ -276,16 +335,7 @@ impl<'a> Reader<'a> {
     /// Exactly `len` raw `f32`s (no prefix; the caller implies the length).
     /// Bounded by the remaining payload before any allocation.
     pub fn get_f32_vec(&mut self, len: usize) -> ServeResult<Vec<f32>> {
-        if len > self.remaining() / 4 {
-            return Err(ServeError::Snapshot(format!(
-                "f32 payload of {len} values larger than remaining snapshot"
-            )));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(self.get_f32()?);
-        }
-        Ok(data)
+        self.get_le_vec(len, f32::from_le_bytes)
     }
 }
 
@@ -300,16 +350,12 @@ mod tests {
         w.put_bool(true);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
-        w.put_f64(-0.125);
-        w.put_f32(3.5);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f64().unwrap(), -0.125);
-        assert_eq!(r.get_f32().unwrap(), 3.5);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -378,6 +424,45 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_len_u32(MAX_SMALL_LEN).unwrap(), 10);
         assert!(r.get_len_u32(MAX_SMALL_LEN).is_err(), "cap must reject u32::MAX");
+    }
+
+    #[test]
+    fn xxh64_known_answers() {
+        // Checked against an independent implementation of the XXH64
+        // specification; the 39-byte string covers one full stripe, the
+        // 1000-byte pattern 31 stripes and an 8-byte tail.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
+        let pattern: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(xxh64(&pattern), 0x5f23_5fa0_33f1_a3fb);
+    }
+
+    #[test]
+    fn bulk_slices_write_the_same_bytes_as_scalars() {
+        let f64s = [0.5, -0.0, f64::MIN_POSITIVE, f64::NAN, 1e300];
+        let f32s = [0.25f32, -0.0, f32::MAX, f32::NAN, 1e-40];
+        let mut bulk = Writer::new();
+        bulk.put_f64_slice(&f64s);
+        bulk.put_f32_slice_raw(&f32s);
+        bulk.put_usize_slice(&[3, usize::MAX]);
+        let mut scalar = Writer::new();
+        scalar.put_usize(f64s.len());
+        f64s.iter().for_each(|v| scalar.put_bytes(&v.to_le_bytes()));
+        f32s.iter().for_each(|v| scalar.put_bytes(&v.to_le_bytes()));
+        scalar.put_usize(2);
+        scalar.put_u64(3);
+        scalar.put_u64(u64::MAX);
+        assert_eq!(bulk.as_bytes(), scalar.as_bytes());
+        let bytes = bulk.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = r.get_f64_slice().unwrap();
+        assert!(back.iter().zip(&f64s).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let back = r.get_f32_vec(f32s.len()).unwrap();
+        assert!(back.iter().zip(&f32s).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(r.get_usize_slice().unwrap(), vec![3, usize::MAX]);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -572,7 +572,7 @@ mod tests {
         let addr = server.local_addr();
         // raw garbage: the server must close this connection…
         let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(b"this is definitely not a GWP1 frame").unwrap();
+        raw.write_all(b"this is definitely not a GWP2 frame").unwrap();
         let mut sink = Vec::new();
         let _ = raw.read_to_end(&mut sink); // unblocks when the server closes
         drop(raw);

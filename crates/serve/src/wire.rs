@@ -5,17 +5,22 @@
 //!
 //! ```text
 //! ┌────────────┬──────────┬────────┬───────────┬─────────┬──────────────┐
-//! │ magic GWP1 │ len u32  │ op u8  │ req id u64│ payload │ fnv1a u64    │
+//! │ magic GWP2 │ len u32  │ op u8  │ req id u64│ payload │ xxh64 u64    │
 //! │  4 bytes   │ LE       │        │ LE        │ op-dep. │ over op..pay │
 //! └────────────┴──────────┴────────┴───────────┴─────────┴──────────────┘
 //! ```
 //!
 //! `len` counts everything after itself (opcode + id + payload + checksum),
 //! is bounded by [`MAX_FRAME_LEN`] before any allocation, and the trailing
-//! FNV-1a checksum (same as the snapshot container) covers opcode, request
+//! XXH64 checksum (seed 0, [`crate::codec::xxh64`]) covers opcode, request
 //! id and payload — truncation, bit rot and garbage are all rejected at the
-//! framing layer. Payload encodings reuse the [`crate::codec`] conventions:
-//! little-endian, length-prefixed, bounded lengths.
+//! framing layer, and any single bit flip changes the checksum. Protocol
+//! revision 1 (`GWP1`) carried an FNV-1a trailer; a revision-1 peer gets
+//! "bad frame magic", not a checksum mismatch. [`read_frame`] reads each
+//! frame into one buffer, which becomes the frame's payload. Payload
+//! encodings reuse the [`crate::codec`] conventions: little-endian,
+//! length-prefixed, bounded lengths; image pixels are converted a whole
+//! slice at a time.
 //!
 //! Request ids are chosen by the client and echoed verbatim in the
 //! matching reply (or [`Opcode::ErrorReply`]), which is what makes
@@ -26,7 +31,7 @@
 //! optional deadline budget), stats, hot-reload, shutdown, and a metrics
 //! dump (the full observability registry as Prometheus text).
 
-use crate::codec::{fnv1a, Reader, Writer};
+use crate::codec::{xxh64, Reader, Writer};
 use crate::fault;
 use crate::service::{LabelResponse, ServiceStats};
 use crate::{ServeError, ServeResult};
@@ -34,15 +39,18 @@ use goggles_tensor::Tensor3;
 use goggles_vision::Image;
 use std::io::{ErrorKind, Read, Write as IoWrite};
 
-/// Magic bytes opening every frame ("GoggleS Wire Protocol v1").
-pub(crate) const WIRE_MAGIC: [u8; 4] = *b"GWP1";
+/// Magic bytes opening every frame ("GoggleS Wire Protocol v2": the XXH64
+/// trailer).
+pub(crate) const WIRE_MAGIC: [u8; 4] = *b"GWP2";
 /// Hard cap on `len` (bytes after the length field). A 64 MiB frame fits a
 /// 3 × 2048 × 2048 float image plus headers; anything larger is garbage and
 /// must not trigger a huge allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 26;
+/// Bytes of the body before the payload: opcode (1) + request id (8).
+const BODY_HEAD: usize = 1 + 8;
 /// Fixed non-payload bytes inside `len`: opcode (1) + request id (8) +
 /// checksum (8).
-const FRAME_OVERHEAD: usize = 1 + 8 + 8;
+const FRAME_OVERHEAD: usize = BODY_HEAD + 8;
 /// Largest payload a frame can carry ([`MAX_FRAME_LEN`] minus the frame
 /// overhead). Senders must check against this **before** encoding — an
 /// oversized frame would be rejected by the peer's framing layer, killing
@@ -134,20 +142,15 @@ pub fn encode_frame(opcode: Opcode, request_id: u64, payload: &[u8]) -> Vec<u8> 
     out.push(opcode as u8);
     out.extend_from_slice(&request_id.to_le_bytes());
     out.extend_from_slice(payload);
-    let checksum = fnv1a(out.get(body_start..).unwrap_or_default());
+    let checksum = xxh64(out.get(body_start..).unwrap_or_default());
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
-/// Decode one frame from the front of `bytes`; returns the frame and the
-/// number of bytes consumed. Truncation, bad magic, implausible lengths,
-/// checksum mismatches and unknown opcodes all come back as
-/// [`ServeError::Wire`] — never a panic, never an unbounded allocation.
-pub fn decode_frame(bytes: &[u8]) -> ServeResult<(Frame, usize)> {
-    let Some((&[m0, m1, m2, m3, l0, l1, l2, l3], after_header)) = bytes.split_first_chunk::<8>()
-    else {
-        return Err(ServeError::Wire(format!("frame header truncated ({} bytes)", bytes.len())));
-    };
+/// Check a frame header (magic, then the length bounds) and return `len`,
+/// the number of body bytes that follow it.
+fn body_len(header: [u8; 8]) -> ServeResult<usize> {
+    let [m0, m1, m2, m3, l0, l1, l2, l3] = header;
     if [m0, m1, m2, m3] != WIRE_MAGIC {
         return Err(ServeError::Wire("bad frame magic".into()));
     }
@@ -157,19 +160,20 @@ pub fn decode_frame(bytes: &[u8]) -> ServeResult<(Frame, usize)> {
             "implausible frame length {len} (bounds {FRAME_OVERHEAD}..={MAX_FRAME_LEN})"
         )));
     }
-    let Some(body) = after_header.get(..len) else {
-        return Err(ServeError::Wire(format!(
-            "frame truncated: header promises {len} bytes, {} available",
-            after_header.len()
-        )));
-    };
-    // `len >= FRAME_OVERHEAD` makes the three splits below infallible, but
-    // each still degrades to a Wire error rather than trusting arithmetic.
+    Ok(len)
+}
+
+/// Verify a frame body's checksum, then split it into opcode, request id
+/// and payload.
+fn open_body(body: &[u8]) -> ServeResult<(Opcode, u64, &[u8])> {
+    // A body that passed `body_len` makes the three splits below
+    // infallible, but each still degrades to a Wire error rather than
+    // trusting arithmetic.
     let Some((checked, trailer)) = body.split_last_chunk::<8>() else {
         return Err(ServeError::Wire("frame body too short for checksum".into()));
     };
     let stored = u64::from_le_bytes(*trailer);
-    let actual = fnv1a(checked);
+    let actual = xxh64(checked);
     if stored != actual {
         return Err(ServeError::Wire(format!(
             "frame checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
@@ -182,7 +186,25 @@ pub fn decode_frame(bytes: &[u8]) -> ServeResult<(Frame, usize)> {
     let Some((rid, payload)) = after_op.split_first_chunk::<8>() else {
         return Err(ServeError::Wire("frame body too short for request id".into()));
     };
-    let request_id = u64::from_le_bytes(*rid);
+    Ok((opcode, u64::from_le_bytes(*rid), payload))
+}
+
+/// Decode one frame from the front of `bytes`; returns the frame and the
+/// number of bytes consumed. Truncation, bad magic, implausible lengths,
+/// checksum mismatches and unknown opcodes all come back as
+/// [`ServeError::Wire`] — never a panic, never an unbounded allocation.
+pub fn decode_frame(bytes: &[u8]) -> ServeResult<(Frame, usize)> {
+    let Some((header, after_header)) = bytes.split_first_chunk::<8>() else {
+        return Err(ServeError::Wire(format!("frame header truncated ({} bytes)", bytes.len())));
+    };
+    let len = body_len(*header)?;
+    let Some(body) = after_header.get(..len) else {
+        return Err(ServeError::Wire(format!(
+            "frame truncated: header promises {len} bytes, {} available",
+            after_header.len()
+        )));
+    };
+    let (opcode, request_id, payload) = open_body(body)?;
     Ok((Frame { opcode, request_id, payload: payload.to_vec() }, 8 + len))
 }
 
@@ -255,22 +277,17 @@ pub fn read_frame(r: &mut impl Read) -> ServeResult<Option<Frame>> {
     if let Some((_, rest)) = header.split_first_mut() {
         read_exact(r, rest)?;
     }
-    let [m0, m1, m2, m3, l0, l1, l2, l3] = header;
-    if [m0, m1, m2, m3] != WIRE_MAGIC {
-        return Err(ServeError::Wire("bad frame magic".into()));
-    }
-    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-    if !(FRAME_OVERHEAD..=MAX_FRAME_LEN).contains(&len) {
-        return Err(ServeError::Wire(format!(
-            "implausible frame length {len} (bounds {FRAME_OVERHEAD}..={MAX_FRAME_LEN})"
-        )));
-    }
+    let len = body_len(header)?;
+    // The body is read into one buffer, checked in place, and then becomes
+    // the payload: trimming the checksum and shifting out opcode and
+    // request id reuse its allocation instead of copying it.
     let mut body = vec![0u8; len];
     read_exact(r, &mut body)?;
-    let mut framed = Vec::with_capacity(8 + len);
-    framed.extend_from_slice(&header);
-    framed.extend_from_slice(&body);
-    decode_frame(&framed).map(|(frame, _)| Some(frame))
+    let (opcode, request_id, payload) = open_body(&body)?;
+    let payload_end = BODY_HEAD + payload.len();
+    body.truncate(payload_end);
+    body.drain(..BODY_HEAD);
+    Ok(Some(Frame { opcode, request_id, payload: body }))
 }
 
 /// Fill `buf` completely, retrying transient errors (`Interrupted`,
@@ -362,6 +379,8 @@ fn decode_image(mut r: Reader<'_>) -> ServeResult<Image> {
             pixels * 4
         )));
     }
+    // One bulk little-endian conversion, then the range check over the
+    // same, still cache-resident, pixels.
     let data = r.get_f32_vec(pixels).map_err(wire_err)?;
     let tensor = Tensor3::from_vec(c, h, w, data)
         .map_err(|e| ServeError::Wire(format!("image decode: {e}")))?;
@@ -647,8 +666,9 @@ fn get_string(r: &mut Reader<'_>) -> ServeResult<String> {
 }
 
 /// Re-brand a codec-level error ([`ServeError::Snapshot`]) as a wire error:
-/// the payload readers reuse the snapshot codec, but the failure domain is
-/// the network frame.
+/// the payload readers share the codec with snapshots (whose errors are
+/// `Snapshot`, worded for either use), but the failure domain is the
+/// network frame.
 fn wire_err(e: ServeError) -> ServeError {
     match e {
         ServeError::Snapshot(msg) => ServeError::Wire(msg),
@@ -679,6 +699,22 @@ mod tests {
         let b = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(b.opcode, Opcode::StatsRequest);
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF between frames");
+
+        // read_frame turns its read buffer into the payload; the result
+        // must equal decode_frame's copy for every payload size
+        let mut stream = Vec::new();
+        let mut expected = Vec::new();
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 100, 4096] {
+            let payload: Vec<u8> = (0..n).map(|i| (i * 13 + n) as u8).collect();
+            let bytes = encode_frame(Opcode::MetricsReply, n as u64, &payload);
+            expected.push(decode_frame(&bytes).unwrap().0);
+            stream.extend_from_slice(&bytes);
+        }
+        let mut cursor = std::io::Cursor::new(stream);
+        for want in expected {
+            assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), want);
+        }
+        assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
     #[test]
@@ -698,15 +734,70 @@ mod tests {
             bad[pos] ^= 0x20;
             assert!(decode_frame(&bad).is_err(), "flip at {pos}");
         }
-        // garbage opcode, re-checksummed so it reaches the opcode check
+        // garbage opcode, re-checksummed with the wire checksum so it
+        // reaches the opcode check
         let mut garbage = bytes.clone();
         garbage[8] = 0xEE;
         let len = garbage.len();
-        let c = fnv1a(&garbage[8..len - 8]);
+        let c = xxh64(&garbage[8..len - 8]);
         garbage[len - 8..].copy_from_slice(&c.to_le_bytes());
         match decode_frame(&garbage) {
             Err(ServeError::Wire(msg)) => assert!(msg.contains("opcode"), "{msg}"),
             other => panic!("expected Wire error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        // 100 payload bytes make the checksummed body (opcode + id +
+        // payload) 109 bytes, ≡ 13 (mod 32): three full 32-byte stripes
+        // through the four lanes, then one 8-byte word, one 4-byte word and
+        // one single byte of tail.
+        let payload: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let bytes = encode_frame(Opcode::LabelRequest, 0x0123_4567_89AB_CDEF, &payload);
+        assert_eq!((bytes.len() - 16) % 32, 13);
+        let body = 8..bytes.len();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                match decode_frame(&bad) {
+                    // past the header only the checksum can catch it
+                    Err(ServeError::Wire(msg)) if body.contains(&pos) => {
+                        assert!(msg.contains("checksum mismatch"), "byte {pos} bit {bit}: {msg}")
+                    }
+                    Err(ServeError::Wire(_)) => {}
+                    other => panic!("byte {pos} bit {bit}: expected Wire error, got {other:?}"),
+                }
+                assert!(read_frame(&mut std::io::Cursor::new(bad)).is_err(), "{pos}/{bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn revision_one_frames_are_refused_as_bad_magic() {
+        let mut bytes = encode_frame(Opcode::StatsRequest, 1, &[]);
+        bytes[..4].copy_from_slice(b"GWP1");
+        match decode_frame(&bytes) {
+            Err(ServeError::Wire(msg)) => assert_eq!(msg, "bad frame magic"),
+            other => panic!("expected Wire error, got {other:?}"),
+        }
+        match read_frame(&mut std::io::Cursor::new(bytes)) {
+            Err(ServeError::Wire(msg)) => assert_eq!(msg, "bad frame magic"),
+            other => panic!("expected Wire error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_label_request_errors_are_worded_for_the_wire() {
+        let payload = encode_label_request(&Image::filled(3, 4, 4, 0.5), 9);
+        for cut in 0..payload.len() {
+            match decode_label_request(&payload[..cut]) {
+                Err(ServeError::Wire(msg)) => {
+                    assert!(!msg.contains("snapshot"), "cut {cut}: {msg}")
+                }
+                other => panic!("cut {cut}: expected Wire error, got {other:?}"),
+            }
         }
     }
 

@@ -99,8 +99,6 @@ proptest! {
         let _ = r.get_u8();
         let _ = r.get_u32();
         let _ = r.get_bool();
-        let _ = r.get_f32();
-        let _ = r.get_f64();
         let _ = r.get_len(MAX_SMALL_LEN);
         let _ = r.get_len_u32(MAX_SMALL_LEN);
         let _ = r.get_usize_slice();

@@ -69,16 +69,16 @@ proptest! {
         prop_assert!(read_frame(&mut cursor).is_err());
     }
 
-    /// Garbage opcode bytes (re-checksummed so they reach the opcode
-    /// check) are rejected, never dispatched. Valid opcodes stop at 13
-    /// (`IngestReply`).
+    /// Garbage opcode bytes (re-checksummed with the wire checksum so
+    /// they reach the opcode check) are rejected, never dispatched. Valid
+    /// opcodes stop at 13 (`IngestReply`).
     #[test]
     fn garbage_opcodes_always_err(op in 14u16..256) {
-        use goggles::serve::codec::fnv1a;
+        use goggles::serve::codec::xxh64;
         let mut bytes = reference_frame();
         bytes[8] = op as u8;
         let n = bytes.len();
-        let c = fnv1a(&bytes[8..n - 8]);
+        let c = xxh64(&bytes[8..n - 8]);
         bytes[n - 8..].copy_from_slice(&c.to_le_bytes());
         match decode_frame(&bytes) {
             Err(ServeError::Wire(msg)) => prop_assert!(msg.contains("opcode"), "{msg}"),
