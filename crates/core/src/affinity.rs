@@ -352,9 +352,27 @@ impl AffinityMatrix {
     /// all ordered pairs). `threads` caps the participants that fill rows
     /// (see [`PrototypeBank::affinity_rows`]).
     pub fn build(embeddings: &[ImageEmbedding], threads: usize) -> Self {
-        let bank = PrototypeBank::from_embeddings(embeddings);
+        Self::from_bank(&PrototypeBank::from_embeddings(embeddings), embeddings, threads)
+    }
+
+    /// The matrix of `embeddings` against a bank built from those same
+    /// embeddings: one [`PrototypeBank::affinity_rows`] call, so every path
+    /// that fits a corpus computes its rows the same way.
+    pub(crate) fn from_bank(
+        bank: &PrototypeBank,
+        embeddings: &[ImageEmbedding],
+        threads: usize,
+    ) -> Self {
         let data = bank.affinity_rows(embeddings, threads);
         Self { data, n: bank.n, alpha: bank.alpha(), z_per_layer: bank.z_per_layer }
+    }
+
+    /// Grow the matrix in place by `rows` (`m × αN`, laid out like
+    /// [`AffinityMatrix::data`]): the continuous-learning append, with no
+    /// copy of the rows already held. A block of the wrong width is refused
+    /// before any data moves, so the matrix keeps its shape and bits.
+    pub fn append_rows(&mut self, rows: &Matrix<f64>) -> crate::Result<()> {
+        self.data.append_rows(rows).map_err(|e| crate::GogglesError::InvalidInput(e.to_string()))
     }
 
     /// The `N × N` block of affinity function `f` (by flat index).
@@ -618,6 +636,30 @@ mod tests {
         // block f=1, j=0 lives at column 1*3+0 = 3
         let b1 = am.function_block(1);
         assert_eq!(am.data[(2, 3)], b1[(2, 0)]);
+    }
+
+    #[test]
+    fn append_rows_grows_in_place_and_refuses_a_wrong_width() {
+        let mk = |a: f32, b: f32| toy_embedding(&[&[a, b]], &[&[a, b], &[b, a]]);
+        let embs = vec![mk(1.0, 0.0), mk(0.0, 1.0), mk(0.7, 0.7)];
+        let mut am = AffinityMatrix::build(&embs, 1);
+        let original = f64_bits(&am.data);
+
+        // One column short, and one too many: refused, nothing moves.
+        for cols in [am.alpha * am.n - 1, am.alpha * am.n + 1] {
+            assert!(am.append_rows(&Matrix::from_fn(2, cols, |i, j| (i + j) as f64)).is_err());
+            assert_eq!(am.data.shape(), (3, 6), "{cols} columns");
+            assert_eq!(f64_bits(&am.data), original, "{cols} columns");
+        }
+
+        // The right width lands below the old rows; n and α stay put.
+        let bank = PrototypeBank::from_embeddings(&embs);
+        let extra = bank.affinity_rows(&embs[1..], 1);
+        am.append_rows(&extra).unwrap();
+        assert_eq!(am.data.shape(), (5, 6));
+        assert_eq!((am.n, am.alpha), (3, 2));
+        assert_eq!(f64_bits(&am.data)[..original.len()], original[..]);
+        assert_eq!(f64_bits(&am.data)[original.len()..], f64_bits(&extra)[..]);
     }
 
     #[test]

@@ -41,7 +41,10 @@ pub mod theory;
 pub use affinity::{AffinityFunction, AffinityMatrix, PrototypeBank, ScoreDistribution};
 pub use hierarchical::{fold_in_rows, HierarchicalModel, HierarchicalOptions};
 pub use mapping::{apply_mapping, map_clusters_via_dev_set};
-pub use pipeline::{Goggles, GogglesConfig, LabelingResult, ProbabilisticLabels, RefitSelection};
+pub use pipeline::{
+    translate_dev_to_rows, CorpusFit, Goggles, GogglesConfig, LabelingResult, ProbabilisticLabels,
+    RefitSelection,
+};
 pub use prototypes::{EmbedScratch, ImageEmbedding, LayerEmbedding};
 
 /// Errors surfaced by the GOGGLES pipeline.

@@ -2,7 +2,7 @@
 //! matrix → hierarchical class inference → dev-set mapping → probabilistic
 //! labels.
 
-use crate::affinity::AffinityMatrix;
+use crate::affinity::{AffinityMatrix, PrototypeBank};
 use crate::hierarchical::{fit_metrics, HierarchicalModel, HierarchicalOptions};
 use crate::mapping::{apply_mapping, map_clusters_via_dev_set};
 use crate::prototypes::embed_images;
@@ -112,6 +112,22 @@ impl ProbabilisticLabels {
             .sum::<f64>()
             / n as f64
     }
+
+    /// Fraction of dev rows whose argmax matches the dev label, with
+    /// `dev_rows` in row space of these labels (0.0 for an empty dev set).
+    pub fn dev_accuracy(&self, dev_rows: &DevSet) -> f64 {
+        if dev_rows.is_empty() {
+            return 0.0;
+        }
+        let hard = self.hard_labels();
+        let correct = dev_rows
+            .indices
+            .iter()
+            .zip(&dev_rows.labels)
+            .filter(|(&idx, &lbl)| hard[idx] == lbl)
+            .count();
+        correct as f64 / dev_rows.len() as f64
+    }
 }
 
 /// Everything the pipeline produced for one dataset.
@@ -175,19 +191,18 @@ pub struct RefitSelection {
     pub candidate: usize,
 }
 
-/// Fraction of dev rows whose argmax label matches the dev label.
-fn dev_accuracy(labels: &ProbabilisticLabels, dev_rows: &DevSet) -> f64 {
-    if dev_rows.is_empty() {
-        return 0.0;
-    }
-    let hard = labels.hard_labels();
-    let correct = dev_rows
-        .indices
-        .iter()
-        .zip(&dev_rows.labels)
-        .filter(|(&idx, &lbl)| hard[idx] == lbl)
-        .count();
-    correct as f64 / dev_rows.len() as f64
+/// Everything one corpus fit produced ([`Goggles::fit_corpus`]).
+#[derive(Debug, Clone)]
+pub struct CorpusFit {
+    /// The training block's stacked prototypes: what a new image's
+    /// affinity row is computed against, out of sample.
+    pub bank: PrototypeBank,
+    /// The training block's `N × αN` affinity matrix, built from `bank`.
+    pub affinity: AffinityMatrix,
+    /// The dev set in row space of `affinity`.
+    pub dev_rows: DevSet,
+    /// The labels, mapping and model of the fit.
+    pub result: LabelingResult,
 }
 
 /// The GOGGLES system: a frozen backbone plus the affinity-coding pipeline.
@@ -220,6 +235,13 @@ impl Goggles {
     /// The embedding and matrix phases are timed into
     /// `goggles_fit_stage_latency_us{stage="embed"|"affinity"}`.
     pub fn build_affinity_matrix(&self, images: &[&Image]) -> AffinityMatrix {
+        self.embed_corpus(images).1
+    }
+
+    /// Embed `images`, stack their prototypes into a bank and build the
+    /// affinity matrix against it, timed into the `embed` and `affinity`
+    /// stages.
+    fn embed_corpus(&self, images: &[&Image]) -> (PrototypeBank, AffinityMatrix) {
         let obs = fit_metrics();
         let embeddings = {
             let _span = goggles_obs::Span::enter(&obs.embed);
@@ -232,7 +254,20 @@ impl Goggles {
             )
         };
         let _span = goggles_obs::Span::enter(&obs.affinity);
-        AffinityMatrix::build(&embeddings, self.config.threads)
+        let bank = PrototypeBank::from_embeddings(&embeddings);
+        let affinity = AffinityMatrix::from_bank(&bank, &embeddings, self.config.threads);
+        (bank, affinity)
+    }
+
+    /// The hierarchical-model options this system's configuration implies.
+    fn hierarchical_options(&self) -> HierarchicalOptions {
+        HierarchicalOptions {
+            num_classes: self.config.num_classes,
+            em: self.config.em,
+            one_hot: self.config.one_hot,
+            threads: self.config.threads,
+            seed: self.config.seed,
+        }
     }
 
     /// Step 2: class inference on a prebuilt affinity matrix. `dev_rows`
@@ -249,14 +284,7 @@ impl Goggles {
         affinity: &AffinityMatrix,
         dev_rows: &DevSet,
     ) -> Result<(ProbabilisticLabels, Vec<usize>, HierarchicalModel)> {
-        let opts = HierarchicalOptions {
-            num_classes: self.config.num_classes,
-            em: self.config.em,
-            one_hot: self.config.one_hot,
-            threads: self.config.threads,
-            seed: self.config.seed,
-        };
-        let model = HierarchicalModel::fit(affinity, &opts)?;
+        let model = HierarchicalModel::fit(affinity, &self.hierarchical_options())?;
         let _span = goggles_obs::Span::enter(&fit_metrics().map);
         let mapping = map_clusters_via_dev_set(&model.responsibilities, dev_rows);
         let probs = apply_mapping(&model.responsibilities, &mapping);
@@ -283,13 +311,7 @@ impl Goggles {
         dev_rows: &DevSet,
         prev: &HierarchicalModel,
     ) -> Result<RefitSelection> {
-        let opts = HierarchicalOptions {
-            num_classes: self.config.num_classes,
-            em: self.config.em,
-            one_hot: self.config.one_hot,
-            threads: self.config.threads,
-            seed: self.config.seed,
-        };
+        let opts = self.hierarchical_options();
         let mut candidates = vec![HierarchicalModel::refit_warm(affinity, prev, &opts)?];
         if !dev_rows.is_empty() {
             for r in 1..self.config.em.restarts.max(1) {
@@ -308,7 +330,7 @@ impl Goggles {
             let mapping = map_clusters_via_dev_set(&model.responsibilities, dev_rows);
             let probs = apply_mapping(&model.responsibilities, &mapping);
             let labels = ProbabilisticLabels { probs };
-            let dev_score = dev_accuracy(&labels, dev_rows);
+            let dev_score = labels.dev_accuracy(dev_rows);
             let replace = match &best {
                 None => true,
                 Some(b) => {
@@ -325,46 +347,49 @@ impl Goggles {
     }
 
     /// Full pipeline on a dataset's training block with a development set
-    /// sampled from it. Dev indices are global dataset indices; rows of the
-    /// result cover every training instance (dev rows included, since the
-    /// paper folds the dev set into the affinity matrix: `N = n + m`).
+    /// sampled from it, keeping everything the fit built: the prototype
+    /// bank, the affinity matrix and the dev set in its row space. Dev
+    /// indices are global dataset indices; rows of the result cover every
+    /// training instance (dev rows included, since the paper folds the dev
+    /// set into the affinity matrix: `N = n + m`).
     ///
-    /// Each call records one observation in each of the
+    /// The dev set is translated first, so an index outside the training
+    /// block fails before any embedding; an empty training block is
+    /// refused too. Each call records one observation in each of the
     /// `goggles_fit_stage_latency_us` stages `embed`, `affinity`,
     /// `em_base`, `em_ensemble` and `map`.
-    pub fn label_dataset(&self, dataset: &Dataset, dev: &DevSet) -> Result<LabelingResult> {
+    pub fn fit_corpus(&self, dataset: &Dataset, dev: &DevSet) -> Result<CorpusFit> {
+        let dev_rows = translate_dev_to_rows(&dataset.train_indices, dev)?;
         let images = dataset.train_images();
         if images.is_empty() {
             return Err(GogglesError::InvalidInput("dataset has no training images".into()));
         }
-        let affinity = self.build_affinity_matrix(&images);
-        let dev_rows = translate_dev_to_rows(&dataset.train_indices, dev)?;
+        let (bank, affinity) = self.embed_corpus(&images);
         let (labels, mapping, model) = self.infer_from_affinity(&affinity, &dev_rows)?;
-        Ok(LabelingResult { labels, mapping, model, row_indices: dataset.train_indices.clone() })
+        let row_indices = dataset.train_indices.clone();
+        Ok(CorpusFit {
+            bank,
+            affinity,
+            dev_rows,
+            result: LabelingResult { labels, mapping, model, row_indices },
+        })
     }
 
-    /// Pipeline variant that reuses a prebuilt affinity matrix over the
-    /// training block (the sweep harnesses build `A` once and re-infer).
-    pub fn label_dataset_with_affinity(
-        &self,
-        dataset: &Dataset,
-        affinity: &AffinityMatrix,
-        dev: &DevSet,
-    ) -> Result<LabelingResult> {
-        let dev_rows = translate_dev_to_rows(&dataset.train_indices, dev)?;
-        let (labels, mapping, model) = self.infer_from_affinity(affinity, &dev_rows)?;
-        Ok(LabelingResult { labels, mapping, model, row_indices: dataset.train_indices.clone() })
+    /// [`Goggles::fit_corpus`], keeping only the labeling result.
+    pub fn label_dataset(&self, dataset: &Dataset, dev: &DevSet) -> Result<LabelingResult> {
+        Ok(self.fit_corpus(dataset, dev)?.result)
     }
 }
 
 /// Translate a dev set in global dataset indices into affinity-matrix row
-/// space (rows follow `train_indices` order).
+/// space (rows follow `train_indices` order). An index outside
+/// `train_indices` is refused with [`GogglesError::InvalidInput`].
 ///
 /// One `HashMap` over `train_indices` replaces the per-dev-index linear
 /// `position` scan (`O(n + m)` instead of `O(n·m)`); should a global index
 /// somehow appear twice in `train_indices`, the **first** row keeps it,
 /// matching the old scan's behavior.
-fn translate_dev_to_rows(train_indices: &[usize], dev: &DevSet) -> Result<DevSet> {
+pub fn translate_dev_to_rows(train_indices: &[usize], dev: &DevSet) -> Result<DevSet> {
     let mut row_of: std::collections::HashMap<usize, usize> =
         std::collections::HashMap::with_capacity(train_indices.len());
     for (row, &t) in train_indices.iter().enumerate() {
@@ -442,15 +467,9 @@ mod tests {
         let ds = small_dataset(4);
         let dev = ds.sample_dev_set(4, 4);
         let result = fast_goggles(3).label_dataset(&ds, &dev).unwrap();
-        let hard = result.labels.hard_labels();
-        let mut correct = 0;
-        for (&idx, &lbl) in dev.indices.iter().zip(&dev.labels) {
-            let row = ds.train_indices.iter().position(|&t| t == idx).unwrap();
-            if hard[row] == lbl {
-                correct += 1;
-            }
-        }
-        assert!(correct * 2 >= dev.len(), "dev agreement {correct}/{}", dev.len());
+        let dev_rows = translate_dev_to_rows(&ds.train_indices, &dev).unwrap();
+        let agreement = result.labels.dev_accuracy(&dev_rows);
+        assert!(agreement >= 0.5, "dev agreement {agreement}");
     }
 
     #[test]
@@ -472,6 +491,43 @@ mod tests {
         let ds = small_dataset(5);
         let dev = DevSet { indices: vec![999], labels: vec![0] };
         assert!(fast_goggles(0).label_dataset(&ds, &dev).is_err());
+        match fast_goggles(0).fit_corpus(&ds, &dev) {
+            Err(GogglesError::InvalidInput(msg)) => assert!(msg.contains("999"), "{msg}"),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_training_block_is_rejected() {
+        let ds = small_dataset(5);
+        let test_only: Vec<_> =
+            ds.test_indices.iter().map(|&i| (ds.images[i].clone(), ds.labels[i])).collect();
+        let empty = Dataset::from_parts(ds.name.clone(), ds.kind, 2, Vec::new(), test_only);
+        assert_eq!(
+            fast_goggles(0).fit_corpus(&empty, &DevSet::empty()).unwrap_err(),
+            GogglesError::InvalidInput("dataset has no training images".into())
+        );
+    }
+
+    #[test]
+    fn fit_corpus_keeps_the_bank_matrix_and_dev_rows_of_label_dataset() {
+        let ds = small_dataset(11);
+        let dev = ds.sample_dev_set(3, 11);
+        let g = fast_goggles(8);
+        let fit = g.fit_corpus(&ds, &dev).unwrap();
+        let batch = g.label_dataset(&ds, &dev).unwrap();
+        assert_eq!(fit.result.labels.probs.as_slice(), batch.labels.probs.as_slice());
+        assert_eq!(fit.result.mapping, batch.mapping);
+        assert_eq!(fit.result.row_indices, ds.train_indices);
+        let rebuilt = g.build_affinity_matrix(&ds.train_images());
+        assert_eq!(fit.affinity.data.as_slice(), rebuilt.data.as_slice());
+        assert_eq!((fit.affinity.n, fit.affinity.alpha), (rebuilt.n, rebuilt.alpha));
+        assert_eq!((fit.bank.n, fit.bank.alpha()), (fit.affinity.n, fit.affinity.alpha));
+        let dev_rows = translate_dev_to_rows(&ds.train_indices, &dev).unwrap();
+        assert_eq!(
+            (fit.dev_rows.indices, fit.dev_rows.labels),
+            (dev_rows.indices, dev_rows.labels)
+        );
     }
 
     #[test]
@@ -495,14 +551,7 @@ mod tests {
         let feats = Matrix::from_fn(feats32.rows(), feats32.cols(), |i, j| feats32[(i, j)] as f64);
         let am = AffinityMatrix::from_feature_vectors(&feats);
         let dev = ds.sample_dev_set(3, 7);
-        let dev_rows = DevSet {
-            indices: dev
-                .indices
-                .iter()
-                .map(|&i| ds.train_indices.iter().position(|&t| t == i).unwrap())
-                .collect(),
-            labels: dev.labels.clone(),
-        };
+        let dev_rows = translate_dev_to_rows(&ds.train_indices, &dev).unwrap();
         let (labels, mapping, model) = g.infer_from_affinity(&am, &dev_rows).unwrap();
         assert_eq!(labels.probs.rows(), ds.train_indices.len());
         assert_eq!(mapping.len(), 2);
@@ -513,30 +562,13 @@ mod tests {
     fn refit_from_affinity_never_loses_to_previous_model() {
         let ds = small_dataset(9);
         let g = fast_goggles(6);
-        let am = g.build_affinity_matrix(&ds.train_images());
         let dev = ds.sample_dev_set(4, 9);
-        let first = g.label_dataset_with_affinity(&ds, &am, &dev).unwrap();
-        let dev_rows = DevSet {
-            indices: dev
-                .indices
-                .iter()
-                .map(|&i| ds.train_indices.iter().position(|&t| t == i).unwrap())
-                .collect(),
-            labels: dev.labels.clone(),
-        };
+        let CorpusFit { affinity: am, dev_rows, result: first, .. } =
+            g.fit_corpus(&ds, &dev).unwrap();
         let refit = g.refit_from_affinity(&am, &dev_rows, &first.model).unwrap();
         // The warm candidate starts from `first.model`'s optimum, so the
         // winner's dev score can only match or beat it.
-        let prev_score = {
-            let hard = first.labels.hard_labels();
-            dev_rows
-                .indices
-                .iter()
-                .zip(&dev_rows.labels)
-                .filter(|(&idx, &lbl)| hard[idx] == lbl)
-                .count() as f64
-                / dev_rows.len() as f64
-        };
+        let prev_score = first.labels.dev_accuracy(&dev_rows);
         assert!(refit.dev_score >= prev_score - 1e-12, "{} < {prev_score}", refit.dev_score);
         assert_eq!(refit.labels.probs.rows(), am.data.rows());
         assert_eq!(refit.mapping.len(), 2);
@@ -551,10 +583,10 @@ mod tests {
     fn refit_with_empty_dev_set_uses_warm_candidate_only() {
         let ds = small_dataset(10);
         let g = fast_goggles(7);
-        let am = g.build_affinity_matrix(&ds.train_images());
         let dev = ds.sample_dev_set(3, 10);
-        let first = g.label_dataset_with_affinity(&ds, &am, &dev).unwrap();
-        let refit = g.refit_from_affinity(&am, &DevSet::empty(), &first.model).unwrap();
+        let first = g.fit_corpus(&ds, &dev).unwrap();
+        let refit =
+            g.refit_from_affinity(&first.affinity, &DevSet::empty(), &first.result.model).unwrap();
         assert_eq!(refit.candidate, 0);
         assert_eq!(refit.dev_score, 0.0);
     }

@@ -91,7 +91,8 @@ impl SpectralCoclustering {
             }
         }
         // K-means on the stacked embedding (rows first, then columns).
-        let stacked = row_embed.vstack(&col_embed).expect("equal dims");
+        let mut stacked = row_embed;
+        stacked.append_rows(&col_embed).expect("equal dims");
         let km = KMeans::fit(&stacked, k, 5, seed)?;
         let row_labels = km.labels[..n].to_vec();
         let col_labels = km.labels[n..].to_vec();

@@ -19,9 +19,10 @@ use crate::{ServeError, ServeResult};
 use goggles_cnn::{Vgg16, VggConfig};
 use goggles_core::hierarchical::fold_in_rows;
 use goggles_core::mapping::apply_mapping;
-use goggles_core::prototypes::{embed_images, EmbedScratch};
+use goggles_core::prototypes::EmbedScratch;
 use goggles_core::{
-    Goggles, GogglesConfig, HierarchicalModel, LabelingResult, ProbabilisticLabels, PrototypeBank,
+    AffinityMatrix, CorpusFit, Goggles, GogglesConfig, HierarchicalModel, LabelingResult,
+    ProbabilisticLabels, PrototypeBank,
 };
 use goggles_datasets::{Dataset, DevSet};
 use goggles_models::{BernoulliMixture, DiagonalGmm, FitStats};
@@ -72,6 +73,16 @@ fn frozen_ensemble(weights: Vec<f64>, probs: Matrix<f64>) -> BernoulliMixture {
     }
 }
 
+/// The frozen base models and ensemble of a fitted hierarchical model.
+fn frozen_models(model: &HierarchicalModel) -> (Vec<DiagonalGmm>, BernoulliMixture) {
+    let base_models = model
+        .base_models
+        .iter()
+        .map(|g| frozen_gmm(g.weights.clone(), g.means.clone(), g.variances.clone()))
+        .collect();
+    (base_models, frozen_ensemble(model.ensemble.weights.clone(), model.ensemble.probs.clone()))
+}
+
 /// Per-stage wall-clock breakdown of one labeling call, reported by
 /// `FittedLabeler::label_batch_traced`. Durations are whole-batch, in
 /// microseconds; they are measurements only and never feed back into the
@@ -98,10 +109,12 @@ pub struct StageTiming {
 
 /// A servable artifact: the frozen GOGGLES pipeline after fitting.
 ///
-/// Obtain one with [`FittedLabeler::fit`] (or `FittedLabeler::from_fitted`
-/// if you already ran the batch pipeline and kept the embeddings), persist
-/// it with [`FittedLabeler::save`], and answer requests with
-/// [`FittedLabeler::label_one`] / [`FittedLabeler::label_batch`].
+/// Obtain one with [`FittedLabeler::fit`] (or
+/// [`FittedLabeler::fit_for_training`], which also keeps the training
+/// affinity matrix for the trainer); both fit through
+/// [`Goggles::fit_corpus`]. Persist it with [`FittedLabeler::save`], and
+/// answer requests with [`FittedLabeler::label_one`] /
+/// [`FittedLabeler::label_batch`].
 #[derive(Debug, Clone)]
 pub struct FittedLabeler {
     // --- serialized state ---
@@ -131,39 +144,30 @@ impl FittedLabeler {
         dataset: &Dataset,
         dev: &DevSet,
     ) -> ServeResult<(Self, LabelingResult)> {
-        let goggles = Goggles::new(config.clone());
-        let images = dataset.train_images();
-        if images.is_empty() {
-            return Err(ServeError::Pipeline(goggles_core::GogglesError::InvalidInput(
-                "dataset has no training images".into(),
-            )));
-        }
-        let embeddings = embed_images(
-            goggles.backbone(),
-            &images,
-            config.top_z,
-            config.threads,
-            config.center_patches,
-        );
-        let bank = PrototypeBank::from_embeddings(&embeddings);
-        let data = bank.affinity_rows(&embeddings, config.threads);
-        let affinity = goggles_core::AffinityMatrix {
-            data,
-            n: bank.n,
-            alpha: bank.alpha(),
-            z_per_layer: bank.z_per_layer,
-        };
-        let result = goggles
-            .label_dataset_with_affinity(dataset, &affinity, dev)
-            .map_err(ServeError::Pipeline)?;
-        let labeler = Self::from_fitted(&goggles, bank, &result.model, result.mapping.clone());
-        Ok((labeler, result))
+        Self::fit_for_training(config, dataset, dev).map(|b| (b.labeler, b.result))
     }
 
-    /// Freeze an already-fitted pipeline: the `Goggles` system it ran under,
-    /// the prototype bank of the training corpus, the fitted hierarchical
-    /// model and the dev-set mapping.
-    pub(crate) fn from_fitted(
+    /// Bootstrap fit for the continuous-learning loop: one
+    /// [`Goggles::fit_corpus`] frozen into a labeler, handing back the
+    /// training affinity matrix (`N × αN`) and the dev set in its row
+    /// space, so a trainer can append incremental rows against the frozen
+    /// bank and re-score candidates without rebuilding anything.
+    pub fn fit_for_training(
+        config: &GogglesConfig,
+        dataset: &Dataset,
+        dev: &DevSet,
+    ) -> ServeResult<TrainingBootstrap> {
+        let goggles = Goggles::new(config.clone());
+        let CorpusFit { bank, affinity, dev_rows, result } =
+            goggles.fit_corpus(dataset, dev).map_err(ServeError::Pipeline)?;
+        let labeler = Self::from_fitted(&goggles, bank, &result.model, result.mapping.clone());
+        Ok(TrainingBootstrap { labeler, result, affinity, dev_rows })
+    }
+
+    /// Freeze a fitted pipeline: the `Goggles` system it ran under, the
+    /// prototype bank of the training corpus, the fitted hierarchical model
+    /// and the dev-set mapping.
+    fn from_fitted(
         goggles: &Goggles,
         bank: PrototypeBank,
         model: &HierarchicalModel,
@@ -176,6 +180,7 @@ impl FittedLabeler {
             "prototype bank and model disagree on the number of affinity functions"
         );
         assert_eq!(bank.n, model.n_train(), "bank/model disagree on corpus size N");
+        let (base_models, ensemble) = frozen_models(model);
         Self {
             vgg: config.vgg.clone(),
             backbone_seed: config.backbone_seed,
@@ -185,63 +190,10 @@ impl FittedLabeler {
             one_hot: model.one_hot,
             mapping,
             bank,
-            base_models: model
-                .base_models
-                .iter()
-                .map(|g| frozen_gmm(g.weights.clone(), g.means.clone(), g.variances.clone()))
-                .collect(),
-            ensemble: frozen_ensemble(model.ensemble.weights.clone(), model.ensemble.probs.clone()),
+            base_models,
+            ensemble,
             net: goggles.backbone().clone(),
         }
-    }
-
-    /// Bootstrap fit for the continuous-learning loop:
-    /// [`FittedLabeler::fit`] that additionally hands back the training
-    /// affinity rows (`N × αN`) and the dev set translated into row space,
-    /// so a trainer can append incremental rows against the frozen bank and
-    /// re-score candidates without rebuilding anything.
-    pub fn fit_for_training(
-        config: &GogglesConfig,
-        dataset: &Dataset,
-        dev: &DevSet,
-    ) -> ServeResult<TrainingBootstrap> {
-        let goggles = Goggles::new(config.clone());
-        let images = dataset.train_images();
-        if images.is_empty() {
-            return Err(ServeError::Pipeline(goggles_core::GogglesError::InvalidInput(
-                "dataset has no training images".into(),
-            )));
-        }
-        let embeddings = embed_images(
-            goggles.backbone(),
-            &images,
-            config.top_z,
-            config.threads,
-            config.center_patches,
-        );
-        let bank = PrototypeBank::from_embeddings(&embeddings);
-        let data = bank.affinity_rows(&embeddings, config.threads);
-        let affinity = goggles_core::AffinityMatrix {
-            data: data.clone(),
-            n: bank.n,
-            alpha: bank.alpha(),
-            z_per_layer: bank.z_per_layer,
-        };
-        let result = goggles
-            .label_dataset_with_affinity(dataset, &affinity, dev)
-            .map_err(ServeError::Pipeline)?;
-        let mut dev_rows = Vec::with_capacity(dev.len());
-        for &idx in &dev.indices {
-            let row = dataset.train_indices.iter().position(|&t| t == idx).ok_or_else(|| {
-                ServeError::Pipeline(goggles_core::GogglesError::InvalidInput(format!(
-                    "dev index {idx} not in the training block"
-                )))
-            })?;
-            dev_rows.push(row);
-        }
-        let dev_rows = DevSet { indices: dev_rows, labels: dev.labels.clone() };
-        let labeler = Self::from_fitted(&goggles, bank, &result.model, result.mapping.clone());
-        Ok(TrainingBootstrap { labeler, result, rows: data, dev_rows })
     }
 
     /// Affinity rows (`m × αN`) for new images against the **frozen**
@@ -286,6 +238,7 @@ impl FittedLabeler {
         model: &HierarchicalModel,
         mapping: Vec<usize>,
     ) -> ServeResult<FittedLabeler> {
+        let (base_models, ensemble) = frozen_models(model);
         let candidate = FittedLabeler {
             vgg: self.vgg.clone(),
             backbone_seed: self.backbone_seed,
@@ -295,12 +248,8 @@ impl FittedLabeler {
             one_hot: model.one_hot,
             mapping,
             bank: self.bank.clone(),
-            base_models: model
-                .base_models
-                .iter()
-                .map(|g| frozen_gmm(g.weights.clone(), g.means.clone(), g.variances.clone()))
-                .collect(),
-            ensemble: frozen_ensemble(model.ensemble.weights.clone(), model.ensemble.probs.clone()),
+            base_models,
+            ensemble,
             net: self.net.clone(),
         };
         candidate.validate()?;
@@ -641,19 +590,21 @@ impl FittedLabeler {
     }
 }
 
-/// Everything [`FittedLabeler::fit_for_training`] hands the trainer: the
-/// servable snapshot, the batch labeling result (whose `model` seeds warm
-/// restarts), the raw training affinity rows to append to, and the dev set
-/// in affinity-row space for gate scoring.
+/// Everything [`FittedLabeler::fit_for_training`] hands the trainer, moved
+/// out of one [`Goggles::fit_corpus`]: the servable snapshot, the batch
+/// labeling result (whose `model` seeds warm restarts), the training
+/// affinity matrix to append to, and the dev set in its row space for gate
+/// scoring.
 #[derive(Debug, Clone)]
 pub struct TrainingBootstrap {
     /// The frozen, servable labeler.
     pub labeler: FittedLabeler,
     /// Batch pipeline output (training-set labels, mapping, fitted model).
     pub result: LabelingResult,
-    /// Training affinity rows, `N × αN` — the matrix the trainer grows.
-    pub rows: Matrix<f64>,
-    /// Dev set translated into row space of `rows`.
+    /// Training affinity matrix, `N × αN`: the matrix the trainer grows
+    /// in place with [`AffinityMatrix::append_rows`].
+    pub affinity: AffinityMatrix,
+    /// Dev set translated into row space of `affinity`.
     pub dev_rows: DevSet,
 }
 
@@ -963,18 +914,26 @@ mod tests {
 
     #[test]
     fn fit_matches_batch_pipeline_exactly() {
-        // FittedLabeler::fit reuses the same affinity path as the batch
-        // pipeline, so its LabelingResult must be identical.
+        // FittedLabeler::fit, fit_for_training and the batch pipeline all
+        // fit through Goggles::fit_corpus, so their results must agree bit
+        // for bit, and so must the two labelers.
         let mut cfg = TaskConfig::new(TaskKind::Cub { class_a: 0, class_b: 1 }, 10, 4, 3);
         cfg.image_size = 32;
         let ds = generate(&cfg);
         let dev = ds.sample_dev_set(3, 3);
         let gcfg = GogglesConfig { seed: 1, ..GogglesConfig::fast() };
-        let (_, via_serve) = FittedLabeler::fit(&gcfg, &ds, &dev).unwrap();
-        let batch = Goggles::new(gcfg).label_dataset(&ds, &dev).unwrap();
-        assert_eq!(via_serve.labels.hard_labels(), batch.labels.hard_labels());
-        assert_eq!(via_serve.mapping, batch.mapping);
-        assert!(via_serve.labels.probs.max_abs_diff(&batch.labels.probs) < 1e-12);
+        let (labeler, via_serve) = FittedLabeler::fit(&gcfg, &ds, &dev).unwrap();
+        let bootstrap = FittedLabeler::fit_for_training(&gcfg, &ds, &dev).unwrap();
+        let goggles = Goggles::new(gcfg);
+        let batch = goggles.label_dataset(&ds, &dev).unwrap();
+        for result in [&via_serve, &bootstrap.result] {
+            assert_eq!(result.labels.hard_labels(), batch.labels.hard_labels());
+            assert_eq!(result.mapping, batch.mapping);
+            assert_eq!(result.labels.probs.as_slice(), batch.labels.probs.as_slice());
+        }
+        assert_eq!(bootstrap.labeler, labeler);
+        let matrix = goggles.build_affinity_matrix(&ds.train_images());
+        assert_eq!(bootstrap.affinity.data.as_slice(), matrix.data.as_slice());
     }
 
     #[test]

@@ -287,18 +287,18 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Vertically concatenate `self` on top of `other` (equal column counts).
-    pub fn vstack(&self, other: &Self) -> Result<Self> {
+    /// Append the rows of `other` below `self`'s, in place. The column
+    /// counts must match; on a mismatch `self` is left untouched.
+    pub fn append_rows(&mut self, other: &Self) -> Result<()> {
         if self.cols != other.cols {
             return Err(TensorError::ShapeMismatch(format!(
-                "vstack: {} vs {} cols",
+                "append_rows: {} vs {} cols",
                 self.cols, other.cols
             )));
         }
-        let mut data = Vec::with_capacity((self.rows + other.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Self { rows: self.rows + other.rows, cols: self.cols, data })
+        self.data.extend_from_slice(&other.data);
+        self.rows += other.rows;
+        Ok(())
     }
 
     /// Copy of the column block `[col_start, col_end)`.
@@ -457,16 +457,19 @@ mod tests {
     #[test]
     fn stacking_round_trip() {
         let m = sample();
-        let v = m.vstack(&m).unwrap();
+        let mut v = m.clone();
+        v.append_rows(&m).unwrap();
         assert_eq!(v.shape(), (4, 3));
+        assert_eq!(v.select_rows(&[0, 1]), m);
         assert_eq!(v.select_rows(&[2, 3]), m);
     }
 
     #[test]
     fn stacking_shape_errors() {
         let m = sample();
-        let t = m.transpose();
-        assert!(m.vstack(&t).is_err());
+        let mut v = m.clone();
+        assert!(v.append_rows(&m.transpose()).is_err());
+        assert_eq!(v, m, "a refused append leaves the matrix untouched");
     }
 
     #[test]

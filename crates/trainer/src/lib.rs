@@ -18,8 +18,10 @@
 //! 2. **Incremental growth** — new images are embedded and their affinity
 //!    rows computed against the **frozen** prototype bank
 //!    ([`goggles_serve::FittedLabeler::affinity_rows_for`]), then appended
-//!    to the training matrix: `(N+m) × αN` instead of an `O((N+m)²α)`
-//!    rebuild. Appending is bit-identical to rebuilding for the frozen
+//!    in place to the training matrix
+//!    ([`goggles_core::AffinityMatrix::append_rows`]): `(N+m) × αN`
+//!    instead of an `O((N+m)²α)` rebuild, with no copy of the rows already
+//!    held. Appending is bit-identical to rebuilding for the frozen
 //!    columns, so nothing the serving path computed ever shifts.
 //! 3. **Warm-started refit** — each cycle refits the hierarchical model
 //!    from the previous snapshot's parameters
@@ -43,7 +45,6 @@
 use goggles_core::{AffinityMatrix, Goggles, GogglesConfig, HierarchicalModel};
 use goggles_datasets::DevSet;
 use goggles_serve::{FittedLabeler, IngestSink, ServeError, SnapshotRegistry, TrainingBootstrap};
-use goggles_tensor::Matrix;
 use goggles_vision::Image;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -324,12 +325,8 @@ struct LoopState {
     goggles: Goggles,
     labeler: FittedLabeler,
     prev: HierarchicalModel,
-    /// Row-major affinity data, grown by appending `m × αN` blocks.
-    data: Vec<f64>,
-    total_rows: usize,
-    n: usize,
-    alpha: usize,
-    z_per_layer: usize,
+    /// The training matrix, grown in place by `m × αN` blocks.
+    affinity: AffinityMatrix,
     dev_rows: DevSet,
     baseline: f64,
     registry: Arc<SnapshotRegistry>,
@@ -372,24 +369,21 @@ impl Trainer {
             status: Mutex::new(StatusInner::default()),
             cycle_done: Condvar::new(),
         });
-        let baseline = dev_accuracy(bootstrap.result.labels.hard_labels(), &bootstrap.dev_rows);
+        let baseline = bootstrap.result.labels.dev_accuracy(&bootstrap.dev_rows);
+        let rows = bootstrap.affinity.data.rows();
         {
             let mut st = shared.status();
-            st.rows = bootstrap.rows.rows();
+            st.rows = rows;
             st.baseline = baseline;
             st.dev_score = baseline;
         }
-        metrics.rows.set(bootstrap.rows.rows() as i64);
+        metrics.rows.set(rows as i64);
         metrics.dev_score.set(baseline);
         let min_batch = options.min_batch.max(1);
         let state = LoopState {
             goggles: Goggles::new(config.clone()),
             prev: bootstrap.labeler.frozen_model(),
-            n: bootstrap.labeler.n_train(),
-            alpha: bootstrap.labeler.alpha(),
-            z_per_layer: bootstrap.labeler.bank().z_per_layer,
-            total_rows: bootstrap.rows.rows(),
-            data: bootstrap.rows.as_slice().to_vec(),
+            affinity: bootstrap.affinity,
             labeler: bootstrap.labeler,
             dev_rows: bootstrap.dev_rows,
             baseline,
@@ -487,20 +481,6 @@ impl std::fmt::Debug for Trainer {
     }
 }
 
-/// Fraction of dev rows whose hard label matches the dev label.
-fn dev_accuracy(hard: Vec<usize>, dev: &DevSet) -> f64 {
-    if dev.is_empty() {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for (&row, &label) in dev.indices.iter().zip(&dev.labels) {
-        if hard.get(row) == Some(&label) {
-            correct += 1;
-        }
-    }
-    correct as f64 / dev.len() as f64
-}
-
 fn trainer_main(mut state: LoopState, intake: &Intake, min_batch: usize) {
     while let Some(batch) = intake.next_batch(min_batch) {
         if batch.is_empty() {
@@ -515,7 +495,7 @@ fn trainer_main(mut state: LoopState, intake: &Intake, min_batch: usize) {
         state.metrics.record_outcome(outcome);
         let mut st = state.shared.status();
         st.refits += 1;
-        st.rows = state.total_rows;
+        st.rows = state.affinity.data.rows();
         st.baseline = state.baseline;
         st.last_outcome = Some(outcome);
         match outcome {
@@ -534,41 +514,29 @@ fn run_cycle(state: &mut LoopState, batch: &[Image]) -> RefitOutcome {
     // 1. Incremental growth: affinity rows against the frozen bank.
     let refs: Vec<&Image> = batch.iter().collect();
     let new_rows = state.labeler.affinity_rows_for(&refs, state.options.embed_threads);
-    state.data.extend_from_slice(new_rows.as_slice());
-    state.total_rows += new_rows.rows();
-    state.metrics.rows.set(state.total_rows as i64);
-    let cols = state.alpha * state.n;
-    let matrix = match Matrix::from_vec(state.total_rows, cols, state.data.clone()) {
-        Ok(m) => m,
-        Err(e) => {
-            goggles_obs::log::error(
-                "trainer",
-                "appended affinity rows have inconsistent width",
-                &[("error", goggles_obs::Value::from(e.to_string()))],
-            );
-            return RefitOutcome::Failed;
-        }
-    };
-    let affinity = AffinityMatrix {
-        data: matrix,
-        n: state.n,
-        alpha: state.alpha,
-        z_per_layer: state.z_per_layer,
-    };
+    if let Err(e) = state.affinity.append_rows(&new_rows) {
+        goggles_obs::log::error(
+            "trainer",
+            "appended affinity rows have inconsistent width",
+            &[("error", goggles_obs::Value::from(e.to_string()))],
+        );
+        return RefitOutcome::Failed;
+    }
+    state.metrics.rows.set(state.affinity.data.rows() as i64);
 
     // 2. Warm-started refit, ranked against seeded cold restarts.
-    let selection = match state.goggles.refit_from_affinity(&affinity, &state.dev_rows, &state.prev)
-    {
-        Ok(s) => s,
-        Err(e) => {
-            goggles_obs::log::error(
-                "trainer",
-                "incremental refit failed",
-                &[("error", goggles_obs::Value::from(e.to_string()))],
-            );
-            return RefitOutcome::Failed;
-        }
-    };
+    let selection =
+        match state.goggles.refit_from_affinity(&state.affinity, &state.dev_rows, &state.prev) {
+            Ok(s) => s,
+            Err(e) => {
+                goggles_obs::log::error(
+                    "trainer",
+                    "incremental refit failed",
+                    &[("error", goggles_obs::Value::from(e.to_string()))],
+                );
+                return RefitOutcome::Failed;
+            }
+        };
     state.metrics.dev_score.set(selection.dev_score);
     state.shared.status().dev_score = selection.dev_score;
 
@@ -661,7 +629,7 @@ fn run_cycle(state: &mut LoopState, batch: &[Image]) -> RefitOutcome {
         &[
             ("version", goggles_obs::Value::from(version)),
             ("dev_score", goggles_obs::Value::from(selection.dev_score)),
-            ("rows", goggles_obs::Value::from(state.total_rows as u64)),
+            ("rows", goggles_obs::Value::from(state.affinity.data.rows() as u64)),
         ],
     );
     RefitOutcome::Published

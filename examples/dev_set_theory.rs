@@ -9,7 +9,7 @@
 //! ```
 
 use goggles::core::mapping::{apply_mapping, map_clusters_via_dev_set};
-use goggles::core::theory;
+use goggles::core::{theory, translate_dev_to_rows};
 use goggles::prelude::*;
 
 fn main() {
@@ -64,14 +64,7 @@ fn main() {
         let mut hits = 0;
         for rep in 0..100u64 {
             let dev = dataset.sample_dev_set(d, 1000 + rep);
-            let rows = DevSet {
-                indices: dev
-                    .indices
-                    .iter()
-                    .map(|&i| dataset.train_indices.iter().position(|&t| t == i).unwrap())
-                    .collect(),
-                labels: dev.labels.clone(),
-            };
+            let rows = translate_dev_to_rows(&dataset.train_indices, &dev).unwrap();
             if map_clusters_via_dev_set(&model.responsibilities, &rows) == correct_mapping {
                 hits += 1;
             }

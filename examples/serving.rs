@@ -14,6 +14,7 @@
 //! same held-out images and checks the served accuracy lands within
 //! 2 points of it.
 
+use goggles::core::translate_dev_to_rows;
 use goggles::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,15 +120,8 @@ fn main() {
         .map(|&i| (ds.images[i].clone(), ds.labels[i]))
         .collect();
     let transductive = Dataset::from_parts(ds.name.clone(), ds.kind, ds.num_classes, all, vec![]);
-    let dev_t = DevSet {
-        // dev indices keep their positions: train block order is unchanged.
-        indices: dev
-            .indices
-            .iter()
-            .map(|&g| ds.train_indices.iter().position(|&t| t == g).unwrap())
-            .collect(),
-        labels: dev.labels.clone(),
-    };
+    // dev indices keep their positions: train block order is unchanged.
+    let dev_t = translate_dev_to_rows(&ds.train_indices, &dev).unwrap();
     let batch_result =
         Goggles::new(config).label_dataset(&transductive, &dev_t).expect("batch pipeline failed");
     let batch_time = t2.elapsed();

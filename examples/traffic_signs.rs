@@ -9,6 +9,7 @@
 //! ```
 
 use goggles::core::affinity::AffinityFunction;
+use goggles::core::translate_dev_to_rows;
 use goggles::prelude::*;
 
 fn main() {
@@ -41,14 +42,7 @@ fn main() {
 
     // Full inference, then compare the ensemble's learned reliabilities
     // against the ground-truth AUC ranking.
-    let dev_rows = DevSet {
-        indices: dev
-            .indices
-            .iter()
-            .map(|&i| dataset.train_indices.iter().position(|&t| t == i).unwrap())
-            .collect(),
-        labels: dev.labels.clone(),
-    };
+    let dev_rows = translate_dev_to_rows(&dataset.train_indices, &dev).unwrap();
     let (labels, mapping, model) =
         goggles.infer_from_affinity(&affinity, &dev_rows).expect("inference failed");
     let rel = model.function_reliabilities();

@@ -12,6 +12,7 @@
 //! cargo run --release --example xray_screening
 //! ```
 
+use goggles::core::translate_dev_to_rows;
 use goggles::endmodel::{accuracy, standardize_fit, CosineClassifier, MlpHead, TrainConfig};
 use goggles::prelude::*;
 use goggles::tensor::Matrix;
@@ -47,12 +48,8 @@ fn main() {
     println!("downstream model (GOGGLES labels) test accuracy: {:.2}%", 100.0 * test_acc);
 
     // --- Baseline: few-shot training on the dev set alone ---
-    let dev_rows: Vec<usize> = dev
-        .indices
-        .iter()
-        .map(|&i| dataset.train_indices.iter().position(|&t| t == i).unwrap())
-        .collect();
-    let support = train_feats.select_rows(&dev_rows);
+    let dev_rows = translate_dev_to_rows(&dataset.train_indices, &dev).unwrap();
+    let support = train_feats.select_rows(&dev_rows.indices);
     let fsl = CosineClassifier::train(&support, &dev.labels, 2, 150, 0);
     let fsl_acc = accuracy(&fsl.predict(&test_feats), &dataset.test_labels());
     println!("few-shot baseline (same 10 labels)  test accuracy: {:.2}%", 100.0 * fsl_acc);

@@ -5,7 +5,7 @@
 use super::report::Table;
 use super::TrialContext;
 use goggles_core::mapping::{apply_mapping, map_clusters_via_dev_set};
-use goggles_core::{theory, HierarchicalModel, HierarchicalOptions};
+use goggles_core::{theory, translate_dev_to_rows, HierarchicalModel, HierarchicalOptions};
 use goggles_datasets::DevSet;
 use goggles_tensor::histogram;
 
@@ -137,20 +137,7 @@ pub fn figure8(ctx: &TrialContext, sizes_per_class: &[usize], seed: u64) -> Vec<
             max_size.min(ctx.dataset.train_indices.len() / ctx.dataset.num_classes / 2).max(1),
             seed,
         );
-        DevSet {
-            indices: dev_global
-                .indices
-                .iter()
-                .map(|&i| {
-                    ctx.dataset
-                        .train_indices
-                        .iter()
-                        .position(|&t| t == i)
-                        .expect("dev in train block")
-                })
-                .collect(),
-            labels: dev_global.labels.clone(),
-        }
+        translate_dev_to_rows(&ctx.dataset.train_indices, &dev_global).expect("dev in train block")
     } else {
         DevSet::empty()
     };

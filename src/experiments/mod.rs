@@ -27,7 +27,7 @@ pub mod table1;
 pub mod table2;
 
 use goggles_cnn::VggConfig;
-use goggles_core::{Goggles, GogglesConfig};
+use goggles_core::{translate_dev_to_rows, Goggles, GogglesConfig};
 use goggles_datasets::{cub, generate, gtsrb, Dataset, DevSet, TaskConfig, TaskKind};
 use goggles_models::EmOptions;
 use goggles_tensor::Matrix;
@@ -182,20 +182,8 @@ impl TrialContext {
         let dev = dataset.sample_dev_set(params.dev_per_class, task.seed ^ trial as u64);
         let goggles = Goggles::new(params.goggles_config(0xA11 + trial as u64));
         let affinity = goggles.build_affinity_matrix(&dataset.train_images());
-        let dev_rows = DevSet {
-            indices: dev
-                .indices
-                .iter()
-                .map(|&i| {
-                    dataset
-                        .train_indices
-                        .iter()
-                        .position(|&t| t == i)
-                        .expect("dev index must be in the training block")
-                })
-                .collect(),
-            labels: dev.labels.clone(),
-        };
+        let dev_rows = translate_dev_to_rows(&dataset.train_indices, &dev)
+            .expect("dev index must be in the training block");
         let to_f64 = |m: &Matrix<f32>| Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)] as f64);
         let train_imgs: Vec<_> = dataset.train_images().iter().map(|&i| i.clone()).collect();
         let test_imgs: Vec<_> = dataset.test_images().iter().map(|&i| i.clone()).collect();

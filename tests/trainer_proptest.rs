@@ -12,7 +12,7 @@
 //!    perturbing what gets published.
 
 use goggles::core::{
-    AffinityMatrix, Goggles, GogglesConfig, HierarchicalModel, HierarchicalOptions, RefitSelection,
+    Goggles, GogglesConfig, HierarchicalModel, HierarchicalOptions, RefitSelection,
 };
 use goggles::datasets::{generate, Dataset, TaskConfig, TaskKind};
 use goggles::serve::{FittedLabeler, TrainingBootstrap};
@@ -41,16 +41,6 @@ fn bits(m: &Matrix<f64>) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Stack the bootstrap's training rows with freshly appended rows — the
-/// exact buffer-growth step the trainer performs each cycle.
-fn stack(rows: &Matrix<f64>, appended: &Matrix<f64>) -> Matrix<f64> {
-    assert_eq!(rows.cols(), appended.cols());
-    let mut data = Vec::with_capacity((rows.rows() + appended.rows()) * rows.cols());
-    data.extend_from_slice(rows.as_slice());
-    data.extend_from_slice(appended.as_slice());
-    Matrix::from_vec(rows.rows() + appended.rows(), rows.cols(), data).expect("stacked matrix")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -63,13 +53,15 @@ proptest! {
         extra_per_class in 1usize..3,
         threads in 1usize..4,
     ) {
-        let (_config, ds, bootstrap) = tiny_fit(seed);
+        let (_config, ds, mut bootstrap) = tiny_fit(seed);
         let new_ds = generate(&tiny_task(seed.wrapping_add(101), extra_per_class));
         let new_images: Vec<&Image> = new_ds.train_images();
 
-        // Incremental path: frozen training rows + one appended batch.
+        // Incremental path: the bootstrap's training matrix grown in place
+        // by one appended batch, the step the trainer runs each cycle.
         let appended = bootstrap.labeler.affinity_rows_for(&new_images, threads);
-        let incremental = stack(&bootstrap.rows, &appended);
+        bootstrap.affinity.append_rows(&appended).expect("appended rows have the matrix's width");
+        let incremental = &bootstrap.affinity.data;
 
         // Rebuild path: every image (old and new) through one batch call
         // against the same frozen bank.
@@ -79,7 +71,7 @@ proptest! {
 
         prop_assert_eq!(rebuilt.rows(), incremental.rows());
         prop_assert_eq!(rebuilt.cols(), incremental.cols());
-        prop_assert_eq!(bits(&rebuilt), bits(&incremental));
+        prop_assert_eq!(bits(&rebuilt), bits(incremental));
 
         // And the appended batch itself is thread-count invariant.
         let appended_serial = bootstrap.labeler.affinity_rows_for(&new_images, 1);
@@ -93,15 +85,10 @@ proptest! {
     #[test]
     fn warm_refit_is_deterministic_across_thread_counts(seed in 0u64..1_000) {
         let (config, _ds, bootstrap) = tiny_fit(seed);
-        let labeler = &bootstrap.labeler;
         let new_ds = generate(&tiny_task(seed.wrapping_add(202), 1));
-        let appended = labeler.affinity_rows_for(&new_ds.train_images(), 1);
-        let grown = AffinityMatrix {
-            data: stack(&bootstrap.rows, &appended),
-            n: labeler.n_train(),
-            alpha: labeler.alpha(),
-            z_per_layer: labeler.bank().z_per_layer,
-        };
+        let appended = bootstrap.labeler.affinity_rows_for(&new_ds.train_images(), 1);
+        let mut grown = bootstrap.affinity;
+        grown.append_rows(&appended).expect("appended rows have the matrix's width");
         let prev = &bootstrap.result.model;
 
         let opts = |threads: usize| HierarchicalOptions {
