@@ -1,56 +1,60 @@
-//! CNN building blocks: same-padding 3×3 convolution, ReLU, 2×2 max-pool
-//! and a dense layer. Inference only — the backbone is frozen in every
-//! experiment of the paper (and in the end-model protocol only FC heads are
-//! trained, which `goggles-endmodel` implements separately).
+//! CNN building blocks: same-padding 1×1 and 3×3 convolution, ReLU, 2×2
+//! max-pool and a dense layer. Inference only — the backbone is frozen in
+//! every experiment of the paper (and in the end-model protocol only FC
+//! heads are trained, which `goggles-endmodel` implements separately).
 //!
-//! # The im2col lowering
+//! # The convolution as a tiled GEMM
 //!
 //! [`Conv2d::forward`] does not loop over pixels. A stride-1 zero-padded
 //! convolution is a matrix product in disguise (conv layers are just big
-//! GEMMs — Gong et al.'s observation): lower the `C×H×W` input into the
-//! `(C·k²) × (H·W)` patch panel whose column `y·W + x` stacks the receptive
-//! field of output position `(y, x)`
-//! ([`goggles_tensor::im2col_3x3`]), and the layer's whole arithmetic
-//! collapses to
+//! GEMMs — Gong et al.'s observation): with the `C×H×W` input lowered into
+//! the `(C·k²) × (H·W)` patch panel whose column `y·W + x` stacks the
+//! receptive field of output position `(y, x)`
+//! ([`goggles_tensor::im2col_3x3`]), the layer's whole arithmetic is
 //!
 //! ```text
 //! out[out_c × H·W] = relu(weights[out_c × C·k²] · panel + bias)
 //! ```
 //!
-//! which [`goggles_tensor::gemm_bias_relu_f32`] computes with register
-//! tiling, panel packing and the bias+ReLU epilogue fused into the output
-//! write. 1×1 kernels skip the lowering entirely (the input *is* the
-//! panel); kernels other than 1 and 3 fall back to the scalar reference.
-//! The scalar path is retained as [`Conv2d::forward_naive`] — it is the
-//! semantic ground truth the property tests compare against (agreement
-//! within `1e-5`; the two paths group the same `k` additions differently).
+//! [`goggles_tensor::conv_bias_relu_f32`] computes it without building the
+//! panel. Each `Conv2d` packs its frozen weights once, at construction,
+//! into a [`goggles_tensor::PackedConv`]. A call walks the output positions
+//! in register-tile-wide column tiles, packs each tile's slice of the 3×3
+//! panel straight from the input planes into a small buffer, and runs every
+//! 4-row block of the packed weights over it, with the bias + ReLU epilogue
+//! fused into the output write. A 1×1 kernel reads the input in place (the
+//! input *is* the panel). The result is bit-identical to
+//! `im2col_3x3` + [`goggles_tensor::gemm_bias_relu_f32`], the oracle pair
+//! the tests compare against. The scalar path is retained as
+//! [`Conv2d::forward_naive`] — the semantic ground truth of the property
+//! tests (agreement within `1e-5`; the two paths group the same `k`
+//! additions differently).
 //!
 //! # The scratch-arena contract
 //!
-//! Every buffer the fast path needs lives in one caller-owned
-//! [`ConvScratch`]: the im2col panel, the GEMM packing buffer and a pair
-//! of ping-pong activation planes. The arena grows to the largest layer it
-//! has seen and is never shrunk or cleared — feeding it through a whole
-//! network (`Vgg16::forward_pool_taps_into`) performs **zero per-layer
+//! Every buffer the conv path needs lives in one caller-owned
+//! [`ConvScratch`]: the per-tile patch buffer and a pair of ping-pong
+//! activation planes. The arena grows to the largest layer it has seen and
+//! is never shrunk or cleared — feeding it through a whole network
+//! (`Vgg16::forward_pool_taps_into`) performs **zero per-layer
 //! allocations** after warm-up, and reusing one arena across calls is
 //! bit-deterministic (outputs never depend on previous contents: every
 //! scratch byte consumed is written first). Hold one arena per worker
 //! thread; they are cheap when idle and must not be shared concurrently.
 
 use goggles_tensor::rng::normal;
-use goggles_tensor::{gemm_bias_relu_f32, im2col_3x3, GemmScratch, Matrix, Tensor3};
+use goggles_tensor::{conv_bias_relu_f32, Matrix, PackedConv, Tensor3};
 use rand::Rng;
 
-/// Reusable workspace of the im2col convolution path: the patch panel, the
-/// GEMM packing buffer and two ping-pong activation buffers (used by
-/// `Vgg16` to chain layers without allocating). See the module docs for
-/// the arena contract.
+/// Reusable workspace of the convolution path: the per-tile patch buffer
+/// and two ping-pong activation buffers (used by `Vgg16` to chain layers
+/// without allocating). See the module docs for the arena contract.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
-    /// `(C·9) × (H·W)` im2col patch panel of the current layer.
+    /// One column tile's `(C·9) × NB` slice of the current 3×3 layer's
+    /// patch panel (`NB` ≤ 32 output positions), packed by
+    /// [`goggles_tensor::conv_bias_relu_f32`].
     pub(crate) col: Vec<f32>,
-    /// Packed-`A` workspace of the blocked GEMM.
-    pub(crate) gemm: GemmScratch,
     /// Ping-pong activation buffers for chained forward passes.
     pub(crate) act: [Vec<f32>; 2],
 }
@@ -80,40 +84,47 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ConvScratch) -> R) -> R {
     })
 }
 
-/// 2-D convolution with stride 1 and zero same-padding.
+/// 2-D convolution with stride 1, zero same-padding and a 1×1 or 3×3
+/// kernel.
 ///
-/// Weight layout is `[out_c][in_c][kh][kw]` flattened; this keeps the inner
-/// accumulation loop contiguous over the kernel window.
+/// Weight layout is `[out_c][in_c][kh][kw]` flattened. The layer keeps its
+/// weights only in the layout the tiled GEMM reads, packed once at
+/// construction; [`Conv2d::forward_naive`] unpacks them per call.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    weight: Vec<f32>,
-    bias: Vec<f32>,
+    packed: PackedConv,
 }
 
 impl Conv2d {
     /// He-initialized convolution (`σ = √(2 / fan_in)`), deterministic given
     /// the caller's RNG state. Bias starts at a small positive value so ReLU
     /// units are born alive.
+    ///
+    /// # Panics
+    /// Panics if `kernel` is not 1 or 3.
     pub fn new_he_init<R: Rng + ?Sized>(
         rng: &mut R,
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
     ) -> Self {
-        assert!(kernel % 2 == 1, "Conv2d requires an odd kernel for same padding");
         let fan_in = (in_channels * kernel * kernel) as f64;
         let sigma = (2.0 / fan_in).sqrt();
         let weight = (0..out_channels * in_channels * kernel * kernel)
             .map(|_| (normal(rng) * sigma) as f32)
             .collect();
         let bias = vec![0.01f32; out_channels];
-        Self { in_channels, out_channels, kernel, weight, bias }
+        Self::from_parts(in_channels, out_channels, kernel, weight, bias)
     }
 
     /// Construct from explicit parameters (for tests and serialization).
+    ///
+    /// # Panics
+    /// Panics if `kernel` is not 1 or 3 or the lengths disagree with the
+    /// shape.
     pub fn from_parts(
         in_channels: usize,
         out_channels: usize,
@@ -123,7 +134,8 @@ impl Conv2d {
     ) -> Self {
         assert_eq!(weight.len(), out_channels * in_channels * kernel * kernel);
         assert_eq!(bias.len(), out_channels);
-        Self { in_channels, out_channels, kernel, weight, bias }
+        let packed = PackedConv::new(&weight, &bias, in_channels, kernel);
+        Self { in_channels, out_channels, kernel, packed }
     }
 
     /// Output channel count.
@@ -133,8 +145,8 @@ impl Conv2d {
 
     /// Forward pass; `input` must have `in_channels` channels. Output has
     /// the same spatial size (stride 1, zero padding `k/2`). Runs the
-    /// im2col + blocked-GEMM fast path with a throwaway scratch — hot loops
-    /// should hold a [`ConvScratch`] and call [`Conv2d::forward_into`].
+    /// tiled-GEMM fast path with a throwaway scratch — hot loops should
+    /// hold a [`ConvScratch`] and call [`Conv2d::forward_into`].
     pub fn forward(&self, input: &Tensor3<f32>) -> Tensor3<f32> {
         let (_, h, w) = input.shape();
         let mut out = Tensor3::zeros(self.out_channels, h, w);
@@ -149,12 +161,12 @@ impl Conv2d {
         out
     }
 
-    /// Im2col + blocked-GEMM forward pass into a caller-owned output slice,
-    /// with the bias (and, when `relu` is set, the ReLU) fused into the
-    /// output write. `input` is a `in_channels × h × w` channel-major
-    /// slice; `out` must hold `out_channels · h · w` values and is fully
-    /// overwritten. All buffers come from `scratch` (see the module docs
-    /// for the arena contract).
+    /// Tiled-GEMM forward pass ([`goggles_tensor::conv_bias_relu_f32`])
+    /// into a caller-owned output slice, with the bias (and, when `relu` is
+    /// set, the ReLU) fused into the output write. `input` is a
+    /// `in_channels × h × w` channel-major slice; `out` must hold
+    /// `out_channels · h · w` values and is fully overwritten. All buffers
+    /// come from `scratch` (see the module docs for the arena contract).
     pub fn forward_into(
         &self,
         input: &[f32],
@@ -164,67 +176,21 @@ impl Conv2d {
         relu: bool,
         out: &mut [f32],
     ) {
-        self.forward_cols(input, h, w, &mut scratch.col, &mut scratch.gemm, relu, out);
+        self.forward_cols(input, h, w, &mut scratch.col, relu, out);
     }
 
-    /// [`Conv2d::forward_into`] against explicitly split scratch parts, so
-    /// `Vgg16` can read the input from the same arena's activation buffers
-    /// while lowering into `col`.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Conv2d::forward_into`] against the arena's tile buffer alone, so
+    /// `Vgg16` can read the input from the same arena's activation buffers.
     pub(crate) fn forward_cols(
         &self,
         input: &[f32],
         h: usize,
         w: usize,
         col: &mut Vec<f32>,
-        gemm: &mut GemmScratch,
         relu: bool,
         out: &mut [f32],
     ) {
-        assert_eq!(input.len(), self.in_channels * h * w, "Conv2d: input shape mismatch");
-        assert_eq!(out.len(), self.out_channels * h * w, "Conv2d: output shape mismatch");
-        let n = h * w;
-        match self.kernel {
-            1 => {
-                // A 1×1 convolution needs no lowering: the input already is
-                // the `C × H·W` panel.
-                gemm_bias_relu_f32(
-                    gemm,
-                    &self.weight,
-                    input,
-                    self.out_channels,
-                    self.in_channels,
-                    n,
-                    &self.bias,
-                    relu,
-                    out,
-                );
-            }
-            3 => {
-                im2col_3x3(input, self.in_channels, h, w, col);
-                gemm_bias_relu_f32(
-                    gemm,
-                    &self.weight,
-                    col,
-                    self.out_channels,
-                    self.in_channels * 9,
-                    n,
-                    &self.bias,
-                    relu,
-                    out,
-                );
-            }
-            _ => {
-                // Odd kernels other than 1 and 3 are not on any hot path;
-                // run the scalar reference and fuse the epilogue manually.
-                let mut owned = Tensor3::zeros(self.in_channels, h, w);
-                owned.as_mut_slice().copy_from_slice(input);
-                let res = self.forward_naive(&owned);
-                for (d, &v) in out.iter_mut().zip(res.as_slice()) {
-                    *d = if relu && v < 0.0 { 0.0 } else { v };
-                }
-            }
-        }
+        conv_bias_relu_f32(col, &self.packed, input, h, w, relu, out);
     }
 
     /// Scalar reference forward pass — the original 6-deep loop nest with
@@ -240,9 +206,10 @@ impl Conv2d {
         let mut out = Tensor3::zeros(self.out_channels, h, w);
         let kk = k * k;
         let in_stride = self.in_channels * kk;
+        let weight = self.packed.weights();
         for oc in 0..self.out_channels {
-            let w_oc = &self.weight[oc * in_stride..(oc + 1) * in_stride];
-            let bias = self.bias[oc];
+            let w_oc = &weight[oc * in_stride..(oc + 1) * in_stride];
+            let bias = self.packed.bias()[oc];
             let out_plane = out.channel_mut(oc);
             for ic in 0..self.in_channels {
                 let w_ic = &w_oc[ic * kk..(ic + 1) * kk];
@@ -432,9 +399,10 @@ mod tests {
     fn he_init_statistics() {
         let mut rng = std_rng(0);
         let conv = Conv2d::new_he_init(&mut rng, 16, 32, 3);
-        let n = conv.weight.len() as f64;
-        let mean: f64 = conv.weight.iter().map(|&v| v as f64).sum::<f64>() / n;
-        let var: f64 = conv.weight.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
+        let weight = conv.packed.weights();
+        let n = weight.len() as f64;
+        let mean: f64 = weight.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let var: f64 = weight.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
         let expect = 2.0 / (16.0 * 9.0);
         assert!(mean.abs() < 0.005, "mean = {mean}");
         assert!((var - expect).abs() / expect < 0.15, "var = {var}, expect = {expect}");
@@ -539,11 +507,11 @@ mod tests {
     fn layers_are_deterministic_per_seed() {
         let a = {
             let mut rng = std_rng(9);
-            Conv2d::new_he_init(&mut rng, 3, 4, 3).weight
+            Conv2d::new_he_init(&mut rng, 3, 4, 3).packed
         };
         let b = {
             let mut rng = std_rng(9);
-            Conv2d::new_he_init(&mut rng, 3, 4, 3).weight
+            Conv2d::new_he_init(&mut rng, 3, 4, 3).packed
         };
         assert_eq!(a, b);
     }

@@ -206,7 +206,7 @@ impl Vgg16 {
     /// Run the convolutional trunk and return the filter map after **each**
     /// of the five max-pool layers (the paper's Algorithm 1, line 1).
     ///
-    /// Runs the im2col + blocked-GEMM fast path with a throwaway arena —
+    /// Runs the tiled-GEMM fast path with a throwaway arena —
     /// hot loops should hold a [`ConvScratch`] and call
     /// [`Vgg16::forward_pool_taps_into`]. The pre-GEMM scalar path is
     /// retained as [`Vgg16::forward_pool_taps_naive`].
@@ -216,10 +216,11 @@ impl Vgg16 {
 
     /// [`Vgg16::forward_pool_taps`] against a caller-owned scratch arena:
     /// the 13 convolutions ping-pong between the arena's two activation
-    /// buffers (im2col panel and GEMM packing reused layer to layer, bias +
-    /// ReLU fused into each GEMM's output write), and each block's 2×2 pool
-    /// writes **directly into the returned tap tensor** — the five taps are
-    /// the only per-call allocations once the arena has warmed up.
+    /// buffers (each through [`goggles_tensor::conv_bias_relu_f32`]
+    /// against its pre-packed weights, the arena's tile buffer reused layer
+    /// to layer, bias + ReLU fused into the output write), and each block's
+    /// 2×2 pool writes **directly into the returned tap tensor** — the five
+    /// taps are the only per-call allocations once the arena has warmed up.
     ///
     /// Bit-deterministic: the same `(network, image)` pair produces
     /// bit-identical taps for any arena history and any thread's arena.
@@ -228,7 +229,7 @@ impl Vgg16 {
         scratch: &mut ConvScratch,
         img: &Image,
     ) -> Vec<Tensor3<f32>> {
-        let ConvScratch { col, gemm, act } = scratch;
+        let ConvScratch { col, act } = scratch;
         let [ping, pong] = act;
         self.prepare_input_into(img, ping);
         let mut c = self.config.input_channels;
@@ -244,15 +245,7 @@ impl Vgg16 {
                 if dst.len() < out_c * h * w {
                     dst.resize(out_c * h * w, 0.0);
                 }
-                conv.forward_cols(
-                    &src[..c * h * w],
-                    h,
-                    w,
-                    col,
-                    gemm,
-                    true,
-                    &mut dst[..out_c * h * w],
-                );
+                conv.forward_cols(&src[..c * h * w], h, w, col, true, &mut dst[..out_c * h * w]);
                 c = out_c;
                 flip = !flip;
             }

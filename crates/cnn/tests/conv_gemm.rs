@@ -1,13 +1,14 @@
-//! Property tests (vendored proptest shim) of the im2col + blocked-GEMM
-//! convolution path — the embedding hot path. The GEMM-lowered convolution
-//! must agree with the retained scalar reference (`Conv2d::forward_naive`)
-//! within 1e-5 on random shapes and channel widths, and the whole trunk
+//! Property tests (vendored proptest shim) of the tiled-GEMM convolution
+//! path — the embedding hot path. The convolution must equal the
+//! `im2col_3x3` + `gemm_bias_relu_f32` oracle bit for bit and agree with
+//! the retained scalar reference (`Conv2d::forward_naive`) within 1e-5 on
+//! random shapes and channel widths, and the whole trunk
 //! (`Vgg16::forward_pool_taps_into`) must be bit-deterministic across
 //! scratch-arena reuse, arena history, and thread counts.
 
 use goggles_cnn::{Conv2d, ConvScratch, Vgg16, VggConfig};
 use goggles_tensor::rng::{normal, std_rng};
-use goggles_tensor::Tensor3;
+use goggles_tensor::{gemm_bias_relu_f32, im2col_3x3, GemmScratch, Tensor3};
 use goggles_vision::{draw, Image};
 use proptest::prelude::*;
 
@@ -29,11 +30,46 @@ fn tap_bits(taps: &[Tensor3<f32>]) -> Vec<u32> {
     taps.iter().flat_map(|t| t.as_slice().iter().map(|v| v.to_bits())).collect()
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A He-initialized `in_c → out_c` convolution with a random bias, and
+/// `Conv2d::forward` of `input` against the oracle: `gemm_bias_relu_f32`
+/// over the same weights and the `im2col_3x3` panel (3×3) or the input
+/// itself (1×1), without ReLU.
+fn conv_and_oracle(
+    in_c: usize,
+    out_c: usize,
+    kernel: usize,
+    input: &Tensor3<f32>,
+    seed: u64,
+) -> (Conv2d, Vec<f32>) {
+    let mut rng = std_rng(seed);
+    let k = in_c * kernel * kernel;
+    let sigma = (2.0 / k as f64).sqrt();
+    let weight: Vec<f32> = (0..out_c * k).map(|_| (normal(&mut rng) * sigma) as f32).collect();
+    let bias: Vec<f32> = (0..out_c).map(|_| normal(&mut rng) as f32 * 0.1).collect();
+    let (_, h, w) = input.shape();
+    let mut col = Vec::new();
+    let panel = if kernel == 3 {
+        im2col_3x3(input.as_slice(), in_c, h, w, &mut col);
+        &col
+    } else {
+        input.as_slice()
+    };
+    let mut oracle = vec![0.0f32; out_c * h * w];
+    let mut scratch = GemmScratch::default();
+    gemm_bias_relu_f32(&mut scratch, &weight, panel, out_c, k, h * w, &bias, false, &mut oracle);
+    (Conv2d::from_parts(in_c, out_c, kernel, weight, bias), oracle)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// im2col+GEMM convolution ≡ scalar reference within 1e-5 on random
-    /// shapes and channel widths (3×3 kernels, the backbone case).
+    /// The tiled-GEMM convolution ≡ the im2col + GEMM oracle bit for bit,
+    /// and ≡ the scalar reference within 1e-5, on random shapes and channel
+    /// widths (3×3 kernels, the backbone case).
     #[test]
     fn gemm_conv_matches_naive_3x3(
         in_c in 1usize..9,
@@ -42,10 +78,10 @@ proptest! {
         w in 1usize..12,
         seed in 0u64..1_000,
     ) {
-        let mut rng = std_rng(seed);
-        let conv = Conv2d::new_he_init(&mut rng, in_c, out_c, 3);
         let input = random_tensor(in_c, h, w, seed ^ 0xC04);
+        let (conv, oracle) = conv_and_oracle(in_c, out_c, 3, &input, seed);
         let fast = conv.forward(&input);
+        prop_assert_eq!(bits(fast.as_slice()), bits(&oracle), "in_c={} out_c={} {}x{}", in_c, out_c, h, w);
         let naive = conv.forward_naive(&input);
         prop_assert_eq!(fast.shape(), naive.shape());
         for (i, (a, b)) in fast.as_slice().iter().zip(naive.as_slice()).enumerate() {
@@ -56,7 +92,8 @@ proptest! {
         }
     }
 
-    /// The 1×1 kernel shortcut (direct GEMM, no lowering) also matches.
+    /// The 1×1 kernel (input read in place, no lowering) also matches, the
+    /// oracle being the GEMM on the input itself.
     #[test]
     fn gemm_conv_matches_naive_1x1(
         in_c in 1usize..10,
@@ -65,10 +102,10 @@ proptest! {
         w in 1usize..10,
         seed in 0u64..1_000,
     ) {
-        let mut rng = std_rng(seed);
-        let conv = Conv2d::new_he_init(&mut rng, in_c, out_c, 1);
         let input = random_tensor(in_c, h, w, seed ^ 0x1A1);
+        let (conv, oracle) = conv_and_oracle(in_c, out_c, 1, &input, seed);
         let fast = conv.forward(&input);
+        prop_assert_eq!(bits(fast.as_slice()), bits(&oracle));
         let naive = conv.forward_naive(&input);
         for (a, b) in fast.as_slice().iter().zip(naive.as_slice()) {
             prop_assert!((a - b).abs() < 1e-5, "{a} vs {b}");
@@ -76,7 +113,8 @@ proptest! {
     }
 
     /// `forward_into` with a reused, history-laden arena is bit-identical
-    /// to a fresh-arena run — no scratch byte leaks into the output.
+    /// to a fresh-arena run — no scratch byte leaks into the output — as
+    /// the arena's layer shrinks and then grows again.
     #[test]
     fn arena_reuse_is_bit_identical_per_layer(
         in_c in 1usize..6,
@@ -99,8 +137,10 @@ proptest! {
         conv.forward_into(input.as_slice(), h, w, &mut arena, true, &mut reused);
         let mut fresh = vec![0.0f32; out_c * h * w];
         conv.forward_into(input.as_slice(), h, w, &mut ConvScratch::new(), true, &mut fresh);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&reused), bits(&fresh));
+        let mut regrown = vec![0.0f32; 9 * 13 * 13];
+        big.forward_into(big_in.as_slice(), 13, 13, &mut arena, true, &mut regrown);
+        prop_assert_eq!(bits(&regrown), bits(&sink));
     }
 }
 

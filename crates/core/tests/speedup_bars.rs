@@ -2,7 +2,7 @@
 //! references, at quick-scale geometry (tiny backbone, 32×32, Z = 4,
 //! N = 32):
 //!
-//! - a full single-image embedding (im2col+GEMM trunk + extraction) must be
+//! - a full single-image embedding (tiled-GEMM trunk + extraction) must be
 //!   at least 2.5× faster than the naive trunk + the same extraction;
 //! - one `1 × αN` affinity row on one thread must be at least 2× faster
 //!   than the pre-blocking scalar reference.

@@ -709,7 +709,7 @@ fn worker_main(shared: &Shared, worker: usize) {
 
 fn worker_loop(shared: &Shared) {
     // One embedding scratch arena per worker, held across requests: the
-    // backbone's im2col/GEMM/activation buffers grow once and every
+    // backbone's conv tile and activation buffers grow once and every
     // subsequent batch embeds allocation-free (outputs aside).
     let mut scratch = EmbedScratch::new();
     loop {

@@ -97,7 +97,7 @@ fn frozen_models(model: &HierarchicalModel) -> (Vec<DiagonalGmm>, BernoulliMixtu
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 // goggles-lint: allow(dead-pub): return type of pub label_batch_traced; external callers reach it through inference
 pub struct StageTiming {
-    /// Backbone forward passes + max-pool tap extraction (im2col/GEMM):
+    /// Backbone forward passes + max-pool tap extraction (tiled-GEMM convs):
     /// the embed share of the fused pass.
     pub embed_us: u64,
     /// Affinity rows against the frozen prototype bank (colmax matmul):
@@ -300,7 +300,7 @@ impl FittedLabeler {
     /// [`EmbedScratch`], also reporting how long each internal stage took
     /// (see [`StageTiming`] for how the fused pass is split). A long-lived
     /// worker (each [`crate::LabelService`] thread holds one scratch) reuses
-    /// the backbone's im2col/GEMM/activation arenas across requests, so
+    /// the backbone's conv tile and activation arenas across requests, so
     /// steady-state labeling allocates nothing on the embedding side beyond
     /// the per-image tap tensors. Timing only reads clocks, so the labels
     /// are bit-identical for any scratch history (the observability layer's

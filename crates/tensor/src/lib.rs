@@ -30,8 +30,9 @@ pub mod tensor3;
 pub use linalg::EighResult;
 pub use linalg::{
     cholesky, colmax_matmul_f32, colmax_matmul_naive_f32, colmax_matmul_panel_f32,
-    gemm_bias_relu_f32, gemm_call_count, gemm_flop_count, im2col_3x3, orthogonal_iteration,
-    solve_lower_triangular, ColmaxPanel, ColmaxScratch, GemmScratch, Pca,
+    conv_bias_relu_f32, gemm_bias_relu_f32, gemm_call_count, gemm_flop_count, im2col_3x3,
+    orthogonal_iteration, solve_lower_triangular, ColmaxPanel, ColmaxScratch, GemmScratch,
+    PackedConv, Pca,
 };
 pub use matrix::Matrix;
 pub use rng::{normal, sample_weighted, sample_without_replacement, std_rng};

@@ -23,7 +23,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide count of [`gemm_bias_relu_f32`] invocations. Two relaxed
+/// Process-wide count of GEMM runs: one per non-empty
+/// [`conv_bias_relu_f32`] or [`gemm_bias_relu_f32`] call. Two relaxed
 /// adds per call — noise next to the `2·m·k·n` flops of any real
 /// product — but enough for the observability layer to attribute embedding
 /// throughput to the kernel.
@@ -635,7 +636,7 @@ const GEMM_NB_AVX512: usize = 32;
 
 /// Reusable workspace of [`gemm_bias_relu_f32`]: the `A` panel re-packed so
 /// each register tile reads its `GEMM_MR` operands contiguously. Keep one
-/// per thread; it grows once to the largest layer geometry, after which the
+/// per thread; it grows once to the largest geometry, after which the
 /// kernel never allocates.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
@@ -650,29 +651,31 @@ pub struct GemmScratch {
 /// row-major, where `bias` (length `m`) is broadcast along each output row
 /// and `relu` clamps negatives to zero in the same pass.
 ///
-/// This is the embedding-side sibling of [`colmax_matmul_f32`]: a padded
-/// 3×3 convolution lowered through [`im2col_3x3`] is exactly this product
-/// with `a` the `[out_c][in_c·9]` weight table and `b` the patch panel, so
-/// one kernel serves every layer of the backbone — no second sweep over the
-/// output. Design:
+/// With [`im2col_3x3`] this is the **oracle and replay pair** of the
+/// backbone's convolutions, not their production path: a same-padded 3×3
+/// convolution is exactly this product with `a` the `[out_c][in_c·9]`
+/// weight table and `b` the im2col patch panel, and
+/// [`conv_bias_relu_f32`] computes it bit for bit without building the
+/// panel or re-packing the weights. Tests compare the conv against this
+/// pair, and the benchmark replays it per layer. Both run one tile loop:
 ///
-/// * **Panel packing** — `a` is re-packed once per call into
+/// * **Panel packing** — `a` is re-packed on every call into
 ///   [`GemmScratch`] so the micro-kernel's `GEMM_MR` row operands sit
 ///   contiguously (`[kk][mr]` order), turning the strided weight reads
-///   into sequential loads.
-/// * **Register tiling** — the inner loop computes a `GEMM_MR`-row output
-///   tile with all accumulators in registers, streaming `b` row by row;
-///   each accumulator sums its `k` terms in ascending-`kk` order from
-///   `0.0`, so the result is bit-deterministic (same inputs ⇒ same bits,
-///   any call pattern).
+///   into sequential loads. `b` is read in place.
+/// * **Register tiling** — for each column tile of `b`, every `GEMM_MR`-row
+///   block of `a` computes its output tile with all accumulators in
+///   registers; each accumulator sums its `k` terms in ascending-`kk` order
+///   from `0.0`, so the result is bit-deterministic (same inputs ⇒ same
+///   bits, any call pattern).
 /// * **ISA dispatch** — the tile loop is compiled three times: portable
 ///   with 4×8 tiles, for AVX2 with 4×16 tiles, and for AVX-512 with 4×32
 ///   tiles over the columns up to the last multiple of 32 and 4×16 tiles
 ///   (one 512-bit register per row) past it, so the `n = 16` conv5 layers
 ///   run 16-column tiles. A probe run once per process picks the widest
-///   copy the CPU supports. No copy contracts a multiply-add, and tile
-///   width does not change any output's summation order, so the copies are
-///   bit-identical.
+///   copy the CPU supports. No copy contracts a multiply-add, and neither
+///   tile width nor loop order changes any output's summation order, so
+///   the copies are bit-identical.
 ///
 /// # Panics
 /// Panics if `a.len() != m·k`, `b.len() != k·n`, `out.len() != m·n`, or
@@ -695,21 +698,160 @@ pub fn gemm_bias_relu_f32(
     assert_eq!(b.len(), k * n, "gemm_bias_relu_f32: b.len() != k*n");
     assert_eq!(out.len(), m * n, "gemm_bias_relu_f32: out.len() != m*n");
     assert_eq!(bias.len(), m, "gemm_bias_relu_f32: bias.len() != m");
+    let a_pack = pack_rows(&mut scratch.a_pack, a, m, k);
+    let gemm = Gemm { a_pack, b: BTiles::Panel(b), m, k, n, bias, relu };
+    // A panel `b` is read in place, so the tile buffer stays empty.
+    gemm_run(&gemm, &mut Vec::new(), out);
+}
+
+/// The frozen weights and bias of a stride-1, same-padded 1×1 or 3×3
+/// convolution, packed once for [`conv_bias_relu_f32`]: the
+/// `[out_c][in_c][ky][kx]` weight table is stored in the tile-major layout
+/// the GEMM tile loop reads, so no call packs it again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedConv {
+    /// `ceil(out_c / GEMM_MR)` blocks of `GEMM_MR × in_c·kernel²`, in the
+    /// layout of [`GemmScratch::a_pack`].
+    packed: Vec<f32>,
+    /// One value per output channel.
+    bias: Vec<f32>,
+    in_channels: usize,
+    kernel: usize,
+}
+
+impl PackedConv {
+    /// Pack a row-major `[out_c][in_c][kernel][kernel]` weight table, with
+    /// `out_c = bias.len()`.
+    ///
+    /// # Panics
+    /// Panics if `kernel` is not 1 or 3, or if
+    /// `weight.len() != bias.len() · in_channels · kernel²`.
+    pub fn new(weight: &[f32], bias: &[f32], in_channels: usize, kernel: usize) -> Self {
+        assert!(kernel == 1 || kernel == 3, "PackedConv::new: kernel {kernel} is not 1 or 3");
+        let (m, k) = (bias.len(), in_channels * kernel * kernel);
+        assert_eq!(weight.len(), m * k, "PackedConv::new: weight.len() != out_c·in_c·kernel²");
+        let mut packed = Vec::new();
+        pack_rows(&mut packed, weight, m, k);
+        Self { packed, bias: bias.to_vec(), in_channels, kernel }
+    }
+
+    /// The row-major `[out_c][in_c][kernel][kernel]` weight table, unpacked
+    /// into a new vector: the inverse of [`PackedConv::new`].
+    pub fn weights(&self) -> Vec<f32> {
+        let k = self.in_channels * self.kernel * self.kernel;
+        (0..self.bias.len() * k)
+            .map(|i| {
+                let (row, kk) = (i / k, i % k);
+                self.packed[(row / GEMM_MR * k + kk) * GEMM_MR + row % GEMM_MR]
+            })
+            .collect()
+    }
+
+    /// The bias, one value per output channel.
+    pub fn bias(&self) -> &[f32] {
+        &self.bias
+    }
+}
+
+/// A stride-1, same-padded 1×1 or 3×3 convolution with the bias and, when
+/// `relu` is set, the ReLU fused into the output write: the production
+/// conv path of the backbone. `input` is an `in_c × height × width`
+/// channel-major map; `out` (`out_c × height × width`) is fully
+/// overwritten.
+///
+/// It is the product `weights · panel` of [`gemm_bias_relu_f32`], where
+/// `panel` is the input itself for a 1×1 kernel and the [`im2col_3x3`]
+/// patch panel for a 3×3 kernel, run by the same tile loop against the
+/// weights [`PackedConv`] packed once. The 3×3 panel is never built: the
+/// loop walks the output positions in its column tiles, packs each tile's
+/// `in_c·9 × NB` slice of the panel straight from the input planes into
+/// `tile`, and runs every 4-row block of the packed weights over it while
+/// it is in cache. `tile` grows to the largest layer's `in_c·9 · NB` floats
+/// and is then reused; no value in it is read before the call writes it.
+///
+/// Bit-identical to [`im2col_3x3`] + [`gemm_bias_relu_f32`] with the same
+/// weights, in every ISA copy: a packed tile holds exactly the panel's
+/// values, padding zeros included, every output sums the same unfused
+/// products in ascending `kk` order from `0.0` and goes through the same
+/// epilogue, and tile width and loop order change no output's summation
+/// order. Counts as one GEMM call of `2·out_c·in_c·kernel²·height·width`
+/// flops.
+///
+/// # Panics
+/// Panics if `input.len() != in_c·height·width` or
+/// `out.len() != out_c·height·width`.
+pub fn conv_bias_relu_f32(
+    tile: &mut Vec<f32>,
+    conv: &PackedConv,
+    input: &[f32],
+    height: usize,
+    width: usize,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let (m, n) = (conv.bias.len(), height * width);
+    assert_eq!(input.len(), conv.in_channels * n, "conv_bias_relu_f32: input shape mismatch");
+    assert_eq!(out.len(), m * n, "conv_bias_relu_f32: output shape mismatch");
+    let b = match conv.kernel {
+        1 => BTiles::Panel(input),
+        _ => BTiles::Patches(PatchMap { input, height, width }),
+    };
+    let k = conv.in_channels * conv.kernel * conv.kernel;
+    let gemm = Gemm { a_pack: &conv.packed, b, m, k, n, bias: &conv.bias, relu };
+    gemm_run(&gemm, tile, out);
+}
+
+/// One product of the GEMM tile loop: `out = relu?(A·B + bias)`, with `A`
+/// (`m × k`) packed by [`pack_rows`] and `B` (`k × n`) delivered one column
+/// tile at a time by `b`.
+struct Gemm<'a> {
+    a_pack: &'a [f32],
+    b: BTiles<'a>,
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: &'a [f32],
+    relu: bool,
+}
+
+/// Where the tile loop reads a column tile's `k` rows of `B`.
+#[derive(Clone, Copy)]
+enum BTiles<'a> {
+    /// A row-major `k × n` panel, read in place.
+    Panel(&'a [f32]),
+    /// The patch panel of a `(k / 9)`-channel map with `n = height · width`
+    /// positions: each column tile is packed from the planes by
+    /// [`pack_patch_tile`].
+    Patches(PatchMap<'a>),
+}
+
+/// A `C × height × width` channel-major map whose same-padded 3×3 patch
+/// panel ([`im2col_3x3`]) is `B`, packed one column tile at a time.
+#[derive(Clone, Copy)]
+struct PatchMap<'a> {
+    input: &'a [f32],
+    height: usize,
+    width: usize,
+}
+
+/// Count the product, then run it through the widest tile-loop copy the
+/// CPU supports. `tile` is the packing buffer of [`BTiles::Patches`].
+fn gemm_run(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
+    let (m, k, n) = (gemm.m, gemm.k, gemm.n);
     if m == 0 || n == 0 {
         return;
     }
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
     GEMM_FLOPS.fetch_add(2 * (m as u64) * (k as u64) * (n as u64), Ordering::Relaxed);
-    let a_pack = pack_rows(&mut scratch.a_pack, a, m, k);
     match isa() {
         // SAFETY: `isa()` returns `Avx512` only when the running CPU has
         // every feature the callee is compiled for.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { gemm_tiles_avx512(a_pack, b, m, k, n, bias, relu, out) },
+        Isa::Avx512 => unsafe { gemm_tiles_avx512(gemm, tile, out) },
         // SAFETY: `isa()` returns `Avx2` only when the running CPU has AVX2.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { gemm_tiles_avx2(a_pack, b, m, k, n, bias, relu, out) },
-        _ => gemm_tiles::<GEMM_NB>(a_pack, b, m, k, n, 0..n, bias, relu, out),
+        Isa::Avx2 => unsafe { gemm_tiles_avx2(gemm, tile, out) },
+        _ => gemm_tiles::<GEMM_NB>(gemm, 0..n, tile, out),
     }
 }
 
@@ -750,19 +892,9 @@ fn pack_rows<'p>(pack: &'p mut Vec<f32>, a: &[f32], m: usize, k: usize) -> &'p [
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 // SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn gemm_tiles_avx2(
-    a_pack: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    gemm_tiles::<GEMM_NB_AVX2>(a_pack, b, m, k, n, 0..n, bias, relu, out);
+unsafe fn gemm_tiles_avx2(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
+    gemm_tiles::<GEMM_NB_AVX2>(gemm, 0..gemm.n, tile, out);
 }
 
 /// [`gemm_tiles`] compiled with AVX-512 enabled: 4×32 tiles over the
@@ -775,82 +907,149 @@ unsafe fn gemm_tiles_avx2(
 /// The running CPU must support AVX-512F and the features it implies.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
 // SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn gemm_tiles_avx512(
-    a_pack: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    let whole = n - n % GEMM_NB_AVX512;
-    gemm_tiles::<GEMM_NB_AVX512>(a_pack, b, m, k, n, 0..whole, bias, relu, out);
-    gemm_tiles::<GEMM_NB_AVX2>(a_pack, b, m, k, n, whole..n, bias, relu, out);
+unsafe fn gemm_tiles_avx512(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
+    let whole = gemm.n - gemm.n % GEMM_NB_AVX512;
+    gemm_tiles::<GEMM_NB_AVX512>(gemm, 0..whole, tile, out);
+    gemm_tiles::<GEMM_NB_AVX2>(gemm, whole..gemm.n, tile, out);
 }
 
-/// Register-tiled GEMM over a packed `a`, inlined into each ISA's copy
+/// Register-tiled GEMM over a packed `A`, inlined into each ISA's copy
 /// (called directly at `NB = GEMM_NB`, it is the portable copy): for each
-/// `GEMM_MR`-row block and each `NB`-column tile of output columns `cols`
-/// (a sub-range of `0..n`), sum the tile in [`gemm_tile`], then apply the
+/// `NB`-column tile of output columns `cols` (a sub-range of `0..n`), take
+/// the tile's rows of `B` (in place, or packed into `tile`), then for each
+/// `GEMM_MR`-row block sum the output tile in [`gemm_tile`] and apply the
 /// bias + ReLU epilogue as it is stored.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn gemm_tiles<const NB: usize>(
-    a_pack: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    gemm: &Gemm<'_>,
     cols: Range<usize>,
-    bias: &[f32],
-    relu: bool,
+    tile: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    for i in 0..m.div_ceil(GEMM_MR) {
-        let block = &a_pack[i * GEMM_MR * k..(i + 1) * GEMM_MR * k];
-        let rows = GEMM_MR.min(m - i * GEMM_MR);
-        let mut j0 = cols.start;
-        while j0 < cols.end {
-            let nb = NB.min(cols.end - j0);
-            let acc = gemm_tile::<NB>(block, b, n, j0, nb);
-            for mr in 0..rows {
+    let (m, k, n) = (gemm.m, gemm.k, gemm.n);
+    let mut j0 = cols.start;
+    while j0 < cols.end {
+        let nb = NB.min(cols.end - j0);
+        // `b` holds the tile's `k` rows at stride `stride`, the tile's
+        // first column at offset `off` of each.
+        let (b, stride, off) = match gemm.b {
+            BTiles::Panel(b) => (b, n, j0),
+            BTiles::Patches(map) => (pack_patch_tile::<NB>(tile, map, j0, nb), nb, 0),
+        };
+        for i in 0..m.div_ceil(GEMM_MR) {
+            let block = &gemm.a_pack[i * GEMM_MR * k..(i + 1) * GEMM_MR * k];
+            let acc = gemm_tile::<NB>(block, b, stride, off, nb);
+            for (mr, acc) in acc.iter().enumerate().take(m - i * GEMM_MR) {
                 let row = i * GEMM_MR + mr;
-                let add = bias[row];
+                let add = gemm.bias[row];
                 let dst = &mut out[row * n + j0..row * n + j0 + nb];
-                for (d, &v) in dst.iter_mut().zip(&acc[mr][..nb]) {
+                for (d, &v) in dst.iter_mut().zip(&acc[..nb]) {
                     let y = v + add;
-                    *d = if relu && y < 0.0 { 0.0 } else { y };
+                    *d = if gemm.relu && y < 0.0 { 0.0 } else { y };
                 }
             }
-            j0 += nb;
+        }
+        j0 += nb;
+    }
+}
+
+/// Pack columns `[j0, j0 + nb)` (`nb ≤ NB`) of the same-padded 3×3 patch
+/// panel of `map` into `tile` and return the packed prefix:
+/// `tile[r·nb + jj] = panel[r][j0 + jj]` for the `C·9` panel rows
+/// `r = ic·9 + ky·3 + kx`, the values [`im2col_3x3`] writes, padding zeros
+/// included. The tile's output positions are walked one output row at a
+/// time, so a tile may start and end mid-row and span several rows.
+#[inline(always)]
+fn pack_patch_tile<'t, const NB: usize>(
+    tile: &'t mut Vec<f32>,
+    map: PatchMap<'_>,
+    j0: usize,
+    nb: usize,
+) -> &'t [f32] {
+    let len = map.input.len() / (map.height * map.width) * 9 * nb;
+    if tile.len() < len {
+        tile.resize(len, 0.0);
+    }
+    let tile = &mut tile[..len];
+    let (mut y, mut x0, mut jj) = (j0 / map.width, j0 % map.width, 0);
+    while jj < nb {
+        let run = (map.width - x0).min(nb - jj);
+        let dst = &mut tile[jj..];
+        // A run as wide as the tile, or half or a quarter of it (the rows of
+        // the power-of-two maps of the backbone), gets constant lengths, so
+        // each copy is a few vector moves instead of a `memcpy` call. On the
+        // default backbone that cut the packing from about a third of the
+        // trunk's conv time to under a tenth (2-vCPU Xeon, AVX-512 copy).
+        match run {
+            r if r == NB => pack_run(map, dst, nb, y, x0, NB),
+            r if r == NB / 2 => pack_run(map, dst, nb, y, x0, NB / 2),
+            r if r == NB / 4 => pack_run(map, dst, nb, y, x0, NB / 4),
+            _ => pack_run(map, dst, nb, y, x0, run),
+        }
+        (y, x0, jj) = (y + 1, 0, jj + run);
+    }
+    tile
+}
+
+/// Pack positions `[x0, x0 + run)` of output row `y` into columns
+/// `[0, run)` of the tile rows `tile[r·stride..]`.
+#[inline(always)]
+fn pack_run(map: PatchMap<'_>, tile: &mut [f32], stride: usize, y: usize, x0: usize, run: usize) {
+    let (height, width) = (map.height, map.width);
+    let x1 = x0 + run;
+    for (ic, src) in map.input.chunks_exact(height * width).enumerate() {
+        for ky in 0..3 {
+            // Source row index is y + ky - 1; `sy` is that plus one so the
+            // bounds check stays in unsigned arithmetic.
+            let sy = y + ky;
+            let srow = (1..=height).contains(&sy).then(|| &src[(sy - 1) * width..sy * width]);
+            for kx in 0..3 {
+                let dst = &mut tile[(ic * 9 + ky * 3 + kx) * stride..][..run];
+                let Some(srow) = srow else {
+                    dst.fill(0.0);
+                    continue;
+                };
+                // Output column x reads source column x + kx - 1.
+                match kx {
+                    0 if x0 == 0 => {
+                        dst[0] = 0.0;
+                        dst[1..].copy_from_slice(&srow[..x1 - 1]);
+                    }
+                    0 => dst.copy_from_slice(&srow[x0 - 1..x1 - 1]),
+                    1 => dst.copy_from_slice(&srow[x0..x1]),
+                    _ if x1 == width => {
+                        dst[run - 1] = 0.0;
+                        dst[..run - 1].copy_from_slice(&srow[x0 + 1..]);
+                    }
+                    _ => dst.copy_from_slice(&srow[x0 + 1..x1 + 1]),
+                }
+            }
         }
     }
 }
 
-/// The `GEMM_MR × nb` products of one packed row block and columns
-/// `[j0, j0 + nb)` of `b` (`nb ≤ NB`), each summed over `kk` ascending from
-/// `0.0`. The accumulators are a local returned by value, which lets them
-/// stay in registers for the whole `k` loop instead of being stored back
-/// to the stack on every step.
+/// The `GEMM_MR × nb` products of one packed row block and the tile of `B`
+/// whose `k` rows lie in `b` at stride `stride`, columns `[off, off + nb)`
+/// of each (`nb ≤ NB`), each summed over `kk` ascending from `0.0`. The
+/// accumulators are a local returned by value, which lets them stay in
+/// registers for the whole `k` loop instead of being stored back to the
+/// stack on every step.
 #[inline(always)]
 fn gemm_tile<const NB: usize>(
     block: &[f32],
     b: &[f32],
-    n: usize,
-    j0: usize,
+    stride: usize,
+    off: usize,
     nb: usize,
 ) -> [[f32; NB]; GEMM_MR] {
     let mut acc = [[0.0f32; NB]; GEMM_MR];
-    let steps = block.chunks_exact(GEMM_MR).zip(b.chunks_exact(n));
+    let steps = block.chunks_exact(GEMM_MR).zip(b.chunks_exact(stride));
     if nb == NB {
         // Full-width tile: fixed trip counts, so every accumulator is a
         // register.
         for (a_col, b_row) in steps {
-            let b_row = &b_row[j0..j0 + NB];
+            let b_row = &b_row[off..off + NB];
             for mr in 0..GEMM_MR {
                 let av = a_col[mr];
                 for jj in 0..NB {
@@ -862,7 +1061,7 @@ fn gemm_tile<const NB: usize>(
         for (a_col, b_row) in steps {
             for mr in 0..GEMM_MR {
                 let av = a_col[mr];
-                for (jj, &bv) in b_row[j0..j0 + nb].iter().enumerate() {
+                for (jj, &bv) in b_row[off..off + nb].iter().enumerate() {
                     acc[mr][jj] += av * bv;
                 }
             }
@@ -879,12 +1078,15 @@ fn gemm_tile<const NB: usize>(
 /// `weights · panel` (see [`gemm_bias_relu_f32`]), with the weight table's
 /// `[out_c][in_c][ky][kx]` layout matching the panel's row order.
 ///
+/// With [`gemm_bias_relu_f32`] this is the oracle and replay pair of the
+/// backbone's convolutions, not their production path:
+/// [`conv_bias_relu_f32`] packs the same values one column tile at a time
+/// and never builds the whole panel, and tests compare it against this
+/// pair bit for bit.
+///
 /// The panel is written into the caller-owned `out` buffer (resized to
-/// `C·9·H·W`; contents fully overwritten), so per-layer lowering costs no
-/// allocation once the buffer has grown to the largest layer. Every row is
-/// a shifted copy of a channel plane row, so the lowering is pure
-/// `memcpy`-speed traffic — `9·C·H·W` writes against the `2·9·C·H·W·out_c`
-/// flops of the product it feeds.
+/// `C·9·H·W`; contents fully overwritten). Every row is a shifted copy of
+/// a channel plane row — `9·C·H·W` writes.
 ///
 /// # Panics
 /// Panics if `input.len() != channels·height·width` or any dimension is 0.
@@ -1269,6 +1471,8 @@ mod tests {
 
     #[test]
     fn gemm_counters_advance_by_call_and_flops() {
+        // Counters are process-global and tests run in parallel, so assert
+        // monotone growth by at least each call's contribution.
         let calls_before = gemm_call_count();
         let flops_before = gemm_flop_count();
         let (m, k, n) = (3, 4, 5);
@@ -1276,10 +1480,22 @@ mod tests {
         let b = vec![1.0f32; k * n];
         let mut out = vec![0.0f32; m * n];
         gemm_f32(&mut GemmScratch::default(), &a, &b, m, k, n, &mut out);
-        // Counters are process-global and tests run in parallel, so assert
-        // monotone growth by at least this call's contribution.
         assert!(gemm_call_count() > calls_before);
         assert!(gemm_flop_count() >= flops_before + 2 * (m * k * n) as u64);
+        // A conv counts as one call of 2·out_c·in_c·kernel²·h·w flops, for
+        // either kernel.
+        for kernel in [1, 3] {
+            let (in_c, out_c, h, w) = (2, 3, 4, 5);
+            let conv =
+                PackedConv::new(&vec![1.0; out_c * in_c * kernel * kernel], &[0.0; 3], 2, kernel);
+            let mut out = vec![0.0f32; out_c * h * w];
+            let (calls, flops) = (gemm_call_count(), gemm_flop_count());
+            conv_bias_relu_f32(&mut Vec::new(), &conv, &[1.0; 2 * 4 * 5], h, w, false, &mut out);
+            assert!(gemm_call_count() > calls);
+            assert!(
+                gemm_flop_count() >= flops + 2 * (out_c * in_c * kernel * kernel * h * w) as u64
+            );
+        }
         // Empty products are not counted.
         let calls = gemm_call_count();
         gemm_f32(&mut GemmScratch::default(), &[], &b[..0], 0, 0, 0, &mut []);
@@ -1717,30 +1933,55 @@ mod tests {
         })
     }
 
-    /// The arguments of a GEMM tile-loop copy after the packed `a`: `b`,
-    /// `m`, `k`, `n`, the bias, the ReLU flag and the output.
-    #[cfg(target_arch = "x86_64")]
-    type GemmArgs<'x> = (&'x [f32], usize, usize, usize, &'x [f32], bool, &'x mut [f32]);
+    /// The `(channels, out_channels, height, width)` grid of the 3×3 conv
+    /// tests: widths 1–13, so column tiles of 8, 16 and 32 positions span
+    /// several output rows and start and end mid-row, and widths 16, 31, 32
+    /// and 64, so whole tiles and half tiles fit in one row; `channels · 9`
+    /// up to 576; every `GEMM_MR` tail of the output channels.
+    fn conv_grid() -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        [1usize, 3, 8, 64].into_iter().flat_map(|c| {
+            [1usize, 5, 8, 13].into_iter().flat_map(move |m| {
+                [1usize, 2, 5, 9].into_iter().flat_map(move |h| {
+                    (1usize..=13).chain([16, 31, 32, 64]).map(move |w| (c, m, h, w))
+                })
+            })
+        })
+    }
 
-    /// A GEMM tile-loop copy against the portable one on [`gemm_grid`],
-    /// with and without bias and ReLU, bit for bit.
+    /// A GEMM tile-loop copy against the portable one, bit for bit, with
+    /// and without bias and ReLU: on [`gemm_grid`] with `B` read in place,
+    /// and on [`conv_grid`] with `B` the 3×3 patch panel packed per tile.
     #[cfg(target_arch = "x86_64")]
-    fn assert_gemm_copy_matches_portable(seed: u64, copy: impl Fn(&[f32], GemmArgs<'_>)) {
+    fn assert_gemm_copy_matches_portable(
+        seed: u64,
+        copy: impl Fn(&Gemm<'_>, &mut Vec<f32>, &mut [f32]),
+    ) {
         let mut rng = rng::std_rng(seed);
         let mut pack = Vec::new();
-        for (m, k, n) in gemm_grid() {
+        let (mut tile, mut portable_tile) = (Vec::new(), Vec::new());
+        let panels = gemm_grid().map(|(m, k, n)| (m, k, n, None));
+        let patches = conv_grid().map(|(c, m, h, w)| (m, 9 * c, h * w, Some((h, w))));
+        for (m, k, n, map) in panels.chain(patches) {
             let a = tall_panel(&mut rng, m, k);
             let b = tall_panel(&mut rng, k, n);
-            let packed = pack_rows(&mut pack, &a, m, k);
+            let b_tiles = match map {
+                None => BTiles::Panel(&b),
+                Some((height, width)) => {
+                    BTiles::Patches(PatchMap { input: &b[..k / 9 * n], height, width })
+                }
+            };
+            let a_pack = pack_rows(&mut pack, &a, m, k);
             let unbiased = vec![0.0f32; m];
             let biased: Vec<f32> = (0..m).map(|_| rng::normal(&mut rng) as f32).collect();
             for (with_bias, bias) in [(false, &unbiased), (true, &biased)] {
                 for relu in [false, true] {
+                    let gemm = Gemm { a_pack, b: b_tiles, m, k, n, bias, relu };
                     let mut portable = vec![f32::NAN; m * n];
-                    gemm_tiles::<GEMM_NB>(packed, &b, m, k, n, 0..n, bias, relu, &mut portable);
+                    gemm_tiles::<GEMM_NB>(&gemm, 0..n, &mut portable_tile, &mut portable);
                     let mut got = vec![f32::NAN; m * n];
-                    copy(packed, (&b, m, k, n, bias, relu, &mut got));
-                    let what = format!("m={m} k={k} n={n} bias={with_bias} relu={relu}");
+                    copy(&gemm, &mut tile, &mut got);
+                    let what =
+                        format!("m={m} k={k} n={n} map={map:?} bias={with_bias} relu={relu}");
                     assert_eq!(bits(&portable), bits(&got), "{what}");
                 }
             }
@@ -1753,9 +1994,9 @@ mod tests {
             return;
         }
         #[cfg(target_arch = "x86_64")]
-        assert_gemm_copy_matches_portable(13, |a_pack, (b, m, k, n, bias, relu, out)| {
+        assert_gemm_copy_matches_portable(13, |gemm, tile, out| {
             // SAFETY: AVX2 support was detected at the top of the test.
-            unsafe { gemm_tiles_avx2(a_pack, b, m, k, n, bias, relu, out) }
+            unsafe { gemm_tiles_avx2(gemm, tile, out) }
         });
     }
 
@@ -1765,10 +2006,61 @@ mod tests {
             return;
         }
         #[cfg(target_arch = "x86_64")]
-        assert_gemm_copy_matches_portable(29, |a_pack, (b, m, k, n, bias, relu, out)| {
+        assert_gemm_copy_matches_portable(29, |gemm, tile, out| {
             // SAFETY: AVX-512 support was detected at the top of the test.
-            unsafe { gemm_tiles_avx512(a_pack, b, m, k, n, bias, relu, out) }
+            unsafe { gemm_tiles_avx512(gemm, tile, out) }
         });
+    }
+
+    #[test]
+    fn conv_is_bit_identical_to_im2col_gemm_oracle() {
+        // The conv entry against `im2col_3x3` + `gemm_bias_relu_f32` (3×3)
+        // and against `gemm_bias_relu_f32` on the input itself (1×1), both
+        // through the dispatched copy, and the portable tile loop over
+        // per-tile patches against it over the im2col panel. One tile
+        // buffer, NaN-filled to start, serves every layer of the grid as
+        // it grows and shrinks, so a stale value read would show.
+        let mut rng = rng::std_rng(31);
+        let mut tile = vec![f32::NAN; 32 * 9 * 64];
+        let (mut col, mut scratch, mut portable_tile) =
+            (Vec::new(), GemmScratch::default(), Vec::new());
+        for (c, m, h, w) in conv_grid() {
+            let n = h * w;
+            let input = tall_panel(&mut rng, c, n);
+            let bias: Vec<f32> = (0..m).map(|_| rng::normal(&mut rng) as f32).collect();
+            for kernel in [1, 3] {
+                let k = c * kernel * kernel;
+                let weight = tall_panel(&mut rng, m, k);
+                let conv = PackedConv::new(&weight, &bias, c, kernel);
+                assert_eq!(conv.weights(), weight, "unpacked weights");
+                let b: &[f32] = if kernel == 1 {
+                    &input
+                } else {
+                    im2col_3x3(&input, c, h, w, &mut col);
+                    &col
+                };
+                for relu in [false, true] {
+                    let what = format!("c={c} m={m} {h}x{w} kernel={kernel} relu={relu}");
+                    let mut oracle = vec![f32::NAN; m * n];
+                    gemm_bias_relu_f32(&mut scratch, &weight, b, m, k, n, &bias, relu, &mut oracle);
+                    let mut got = vec![f32::NAN; m * n];
+                    conv_bias_relu_f32(&mut tile, &conv, &input, h, w, relu, &mut got);
+                    assert_eq!(bits(&got), bits(&oracle), "{what}");
+                    if kernel == 1 {
+                        continue;
+                    }
+                    let a_pack = &conv.packed;
+                    let panel = Gemm { a_pack, b: BTiles::Panel(b), m, k, n, bias: &bias, relu };
+                    let patches = BTiles::Patches(PatchMap { input: &input, height: h, width: w });
+                    let per_tile = Gemm { b: patches, ..panel };
+                    let mut from_panel = vec![f32::NAN; m * n];
+                    gemm_tiles::<GEMM_NB>(&panel, 0..n, &mut Vec::new(), &mut from_panel);
+                    let mut from_tiles = vec![f32::NAN; m * n];
+                    gemm_tiles::<GEMM_NB>(&per_tile, 0..n, &mut portable_tile, &mut from_tiles);
+                    assert_eq!(bits(&from_tiles), bits(&from_panel), "portable {what}");
+                }
+            }
+        }
     }
 
     #[test]
