@@ -318,12 +318,6 @@ impl Linear {
         Self { weight, bias }
     }
 
-    /// Output dimension.
-    // goggles-lint: allow(dead-pub): accessor symmetric with in_dim; layer-shape introspection API
-    pub fn out_dim(&self) -> usize {
-        self.weight.rows()
-    }
-
     /// Input dimension.
     pub(crate) fn in_dim(&self) -> usize {
         self.weight.cols()
@@ -500,7 +494,6 @@ mod tests {
         let y = lin.forward(&[3.0, 4.0]);
         assert_eq!(y, vec![11.5, -3.0]);
         assert_eq!(lin.in_dim(), 2);
-        assert_eq!(lin.out_dim(), 2);
     }
 
     #[test]

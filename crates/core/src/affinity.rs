@@ -37,12 +37,6 @@ impl AffinityFunction {
             .flat_map(|layer| (0..z_per_layer).map(move |z| AffinityFunction { layer, z }))
             .collect()
     }
-
-    /// Flat index of this function in the canonical library.
-    // goggles-lint: allow(dead-pub): documented cell-addressing contract of the pub AffinityMatrix; exercised only by unit tests
-    pub fn flat_index(&self, z_per_layer: usize) -> usize {
-        self.layer * z_per_layer + self.z
-    }
 }
 
 impl std::fmt::Display for AffinityFunction {
@@ -881,7 +875,7 @@ mod tests {
         assert_eq!(lib.len(), 50);
         assert_eq!(lib[0], AffinityFunction { layer: 0, z: 0 });
         assert_eq!(lib[10], AffinityFunction { layer: 1, z: 0 });
-        assert_eq!(lib[49].flat_index(10), 49);
+        assert_eq!(lib[49], AffinityFunction { layer: 4, z: 9 });
         assert_eq!(format!("{}", lib[10]), "f[L2:z1]");
     }
 
@@ -895,7 +889,7 @@ mod tests {
         assert_eq!(lib.len(), bank.alpha());
         assert_eq!(lib.len(), 2);
         for (f, func) in lib.iter().enumerate() {
-            assert_eq!(func.flat_index(bank.z_per_layer), f);
+            assert_eq!(func.layer * bank.z_per_layer + func.z, f);
         }
     }
 

@@ -76,37 +76,7 @@ impl HierarchicalModel {
     /// and `goggles_fit_em_iterations` — observation only, no effect on the
     /// fitted parameters.
     pub fn fit(affinity: &AffinityMatrix, opts: &HierarchicalOptions) -> Result<Self> {
-        let obs = fit_metrics();
-        let k = opts.num_classes;
-        let base_models = {
-            let _span = goggles_obs::Span::enter(&obs.em_base);
-            fit_base_models(affinity, opts)?
-        };
-        for gmm in &base_models {
-            obs.base_iterations.observe(gmm.stats.iterations as u64);
-        }
-        let lp: Vec<&Matrix<f64>> = base_models.iter().map(|g| &g.responsibilities).collect();
-        let ensemble_input = concat_label_predictions(&lp, opts.one_hot);
-        // The ensemble fit is cheap (binary N × αK input) but decides the
-        // final labels, so it gets extra restarts regardless of the base
-        // models' budget: EM local optima here directly cost accuracy.
-        let ensemble_em = EmOptions { restarts: opts.em.restarts.max(5), ..opts.em };
-        let ensemble = {
-            let _span = goggles_obs::Span::enter(&obs.em_ensemble);
-            BernoulliMixture::fit(&ensemble_input, k, &ensemble_em, opts.seed ^ 0xE45E_3B1E)?
-        };
-        obs.ensemble_iterations.observe(ensemble.stats.iterations as u64);
-        obs.fits_total.inc();
-        let responsibilities = ensemble.responsibilities.clone();
-        let log_likelihood = ensemble.stats.log_likelihood;
-        Ok(Self {
-            base_models,
-            ensemble_input,
-            responsibilities,
-            ensemble,
-            one_hot: opts.one_hot,
-            log_likelihood,
-        })
+        Self::fit_with(affinity, opts, Start::Cold)
     }
 
     /// Refit the hierarchy on an affinity matrix, **warm-starting** every EM
@@ -141,25 +111,52 @@ impl HierarchicalModel {
                 affinity.n
             )));
         }
+        Self::fit_with(affinity, opts, Start::Warm(prev))
+    }
+
+    /// The one fit body behind [`HierarchicalModel::fit`] and
+    /// [`HierarchicalModel::refit_warm`]; `start` decides only where each
+    /// EM begins.
+    fn fit_with(
+        affinity: &AffinityMatrix,
+        opts: &HierarchicalOptions,
+        start: Start,
+    ) -> Result<Self> {
         let obs = fit_metrics();
         let base_models = {
             let _span = goggles_obs::Span::enter(&obs.em_base);
-            refit_base_models_warm(affinity, prev, opts)?
+            fit_base_models(affinity, opts, start)?
         };
         for gmm in &base_models {
             obs.base_iterations.observe(gmm.stats.iterations as u64);
         }
         let lp: Vec<&Matrix<f64>> = base_models.iter().map(|g| &g.responsibilities).collect();
-        // Encode exactly like the previous fit so fold-in stays consistent.
-        let ensemble_input = concat_label_predictions(&lp, prev.one_hot);
+        // A warm refit encodes exactly like the previous fit so fold-in
+        // stays consistent.
+        let one_hot = match start {
+            Start::Cold => opts.one_hot,
+            Start::Warm(prev) => prev.one_hot,
+        };
+        let ensemble_input = concat_label_predictions(&lp, one_hot);
         let ensemble = {
             let _span = goggles_obs::Span::enter(&obs.em_ensemble);
-            BernoulliMixture::fit_from(
-                &ensemble_input,
-                &prev.ensemble.weights,
-                &prev.ensemble.probs,
-                &opts.em,
-            )?
+            match start {
+                // The ensemble fit is cheap (binary N × αK input) but decides
+                // the final labels, so a cold fit gets extra restarts
+                // regardless of the base models' budget: EM local optima here
+                // directly cost accuracy.
+                Start::Cold => {
+                    let em = EmOptions { restarts: opts.em.restarts.max(5), ..opts.em };
+                    let seed = opts.seed ^ 0xE45E_3B1E;
+                    BernoulliMixture::fit(&ensemble_input, opts.num_classes, &em, seed)?
+                }
+                Start::Warm(prev) => BernoulliMixture::fit_from(
+                    &ensemble_input,
+                    &prev.ensemble.weights,
+                    &prev.ensemble.probs,
+                    &opts.em,
+                )?,
+            }
         };
         obs.ensemble_iterations.observe(ensemble.stats.iterations as u64);
         obs.fits_total.inc();
@@ -170,7 +167,7 @@ impl HierarchicalModel {
             ensemble_input,
             responsibilities,
             ensemble,
-            one_hot: prev.one_hot,
+            one_hot,
             log_likelihood,
         })
     }
@@ -313,67 +310,59 @@ pub(crate) fn fit_metrics() -> &'static FitMetrics {
     })
 }
 
-/// Fit one diagonal GMM per affinity-function block, in parallel.
+/// Where each EM of a fit starts: k-means seeded from
+/// [`HierarchicalOptions::seed`] (with restarts), or the parameters of a
+/// previous fit (no restarts, no RNG).
+#[derive(Clone, Copy)]
+enum Start<'a> {
+    Cold,
+    Warm(&'a HierarchicalModel),
+}
+
+/// Fit one diagonal GMM per affinity-function block on up to
+/// `opts.threads` participants of the process-wide [`goggles_tensor::pool`]
+/// (the calling thread and the pool's helpers; `threads` caps them and
+/// spawns nothing). Participants claim the next unfitted function from the
+/// pool's shared counter instead of owning a fixed chunk: the deep-layer
+/// functions run several times more EM iterations than the shallow ones
+/// and sit together at the end of the index range, so a static split
+/// leaves one worker with most of the work. Claim `c` fits function
+/// `alpha − 1 − c`, longest fits first, so the cheap shallow fits fill in
+/// at the end instead of one deep fit finishing alone. Each fit depends
+/// only on its own block and start (a warm start is RNG-free; a cold one
+/// seeds from `f`), and its result lands in slot `f`, so the output is the
+/// same for every thread count and claiming order.
 fn fit_base_models(
     affinity: &AffinityMatrix,
     opts: &HierarchicalOptions,
+    start: Start,
 ) -> Result<Vec<DiagonalGmm>> {
     let alpha = affinity.alpha;
-    // An empty affinity matrix would otherwise reach `chunks_mut(0)` below
-    // and panic with an opaque slice error inside the worker fan-out.
+    // An empty affinity matrix would otherwise reach the ensemble with no
+    // label predictions and panic there.
     if alpha == 0 || affinity.n == 0 {
         return Err(crate::GogglesError::InvalidInput(format!(
             "cannot fit base models on an empty affinity matrix (α = {alpha}, N = {})",
             affinity.n
         )));
     }
-    let k = opts.num_classes;
-    fit_each_function(alpha, opts.threads, |f| {
+    let fit = |f: usize| {
         let block = affinity.function_block(f);
-        DiagonalGmm::fit(&block, k, &opts.em, opts.seed ^ (0xBA5E_0000 + f as u64))
-    })
-}
-
-/// Warm-start one diagonal GMM per affinity-function block from the
-/// previous fit's parameters, in parallel. Each per-block fit is RNG-free
-/// and depends only on its own block + starting parameters, so the thread
-/// fan-out cannot change any result.
-fn refit_base_models_warm(
-    affinity: &AffinityMatrix,
-    prev: &HierarchicalModel,
-    opts: &HierarchicalOptions,
-) -> Result<Vec<DiagonalGmm>> {
-    fit_each_function(affinity.alpha, opts.threads, |f| {
-        let block = affinity.function_block(f);
-        let seed_model = &prev.base_models[f];
-        DiagonalGmm::fit_from(
-            &block,
-            &seed_model.weights,
-            &seed_model.means,
-            &seed_model.variances,
-            &opts.em,
-        )
-    })
-}
-
-/// Run `fit(f)` for every affinity function `f < alpha` on up to `threads`
-/// participants of the process-wide [`goggles_tensor::pool`] (the calling
-/// thread and the pool's helpers; `threads` caps them and spawns nothing).
-/// Participants claim the next unfitted function from the pool's shared
-/// counter instead of owning a fixed chunk: the deep-layer functions run
-/// several times more EM iterations than the shallow ones and sit together
-/// at the end of the index range, so a static split leaves one worker with
-/// most of the work. Claim `c` fits function `alpha − 1 − c`, longest fits
-/// first, so the cheap shallow fits fill in at the end instead of one deep
-/// fit finishing alone. Each fit depends only on `f`, and its result lands
-/// in slot `f`, so the output is the same for every thread count and
-/// claiming order.
-fn fit_each_function(
-    alpha: usize,
-    threads: usize,
-    fit: impl Fn(usize) -> goggles_models::Result<DiagonalGmm> + Sync,
-) -> Result<Vec<DiagonalGmm>> {
-    let mut fits = goggles_tensor::pool::map(alpha, threads, |claimed| fit(alpha - 1 - claimed));
+        match start {
+            Start::Cold => DiagonalGmm::fit(
+                &block,
+                opts.num_classes,
+                &opts.em,
+                opts.seed ^ (0xBA5E_0000 + f as u64),
+            ),
+            Start::Warm(prev) => {
+                let g = &prev.base_models[f];
+                DiagonalGmm::fit_from(&block, &g.weights, &g.means, &g.variances, &opts.em)
+            }
+        }
+    };
+    let mut fits =
+        goggles_tensor::pool::map(alpha, opts.threads, |claimed| fit(alpha - 1 - claimed));
     fits.reverse();
     fits.into_iter().map(|fit| fit.map_err(Into::into)).collect()
 }

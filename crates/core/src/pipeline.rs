@@ -260,7 +260,7 @@ impl Goggles {
     }
 
     /// The hierarchical-model options this system's configuration implies.
-    fn hierarchical_options(&self) -> HierarchicalOptions {
+    pub fn hierarchical_options(&self) -> HierarchicalOptions {
         HierarchicalOptions {
             num_classes: self.config.num_classes,
             em: self.config.em,

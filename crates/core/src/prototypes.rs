@@ -95,7 +95,7 @@ fn extract_top_z_prototypes_raw(
     // One pass per channel computing (max, argmax) together — the map is
     // scanned exactly once, instead of a global-max sweep followed by a
     // re-scan of every selected channel. First occurrence wins on ties,
-    // matching `Tensor3::channel_argmax`.
+    // scanning row-major.
     let (_, _, width) = map.shape();
     let per_channel: Vec<(f32, usize)> = (0..map.channels())
         .map(|c| {

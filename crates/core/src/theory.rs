@@ -81,12 +81,6 @@ pub fn min_dev_set_size(eta: f64, k: usize, p: f64, max_d: usize) -> Option<(usi
     (1..=max_d).find(|&d| p_mapping_correct(eta, k, d) >= p).map(|d| (d, k * d))
 }
 
-/// The Figure 7 curve: `P(correct mapping)` for `d = 1..=max_d`.
-// goggles-lint: allow(dead-pub): reproduces the paper's Figure 7 accuracy-vs-alpha curve; exercised only by unit tests
-pub fn figure7_curve(eta: f64, k: usize, max_d: usize) -> Vec<(usize, f64)> {
-    (1..=max_d).map(|d| (d, p_mapping_correct(eta, k, d))).collect()
-}
-
 /// Probability that `trials` uniform throws into `m` bins leave **every**
 /// bin with at most `cap` items — DP over bins using log-space binomial
 /// convolution, `O(m · trials²)` worst case but tiny in practice.
@@ -212,8 +206,8 @@ mod tests {
         // Paper: "when η = 0.8, only about 20 examples are required to
         // produce the correct cluster-class mapping with probability close
         // to 1" (20 total = 10 per class for K=2).
-        let curve = figure7_curve(0.8, 2, 30);
-        let at = |d: usize| curve[d - 1].1;
+        let curve: Vec<f64> = (1..=30).map(|d| p_mapping_correct(0.8, 2, d)).collect();
+        let at = |d: usize| curve[d - 1];
         assert!(at(1) < 0.9);
         // d = 10 per class = 20 total examples: "close to 1" per the paper.
         assert!(at(10) > 0.9, "P(d=10) = {}", at(10));
@@ -221,7 +215,7 @@ mod tests {
         // Largely increasing in d (odd/even majority parity causes small
         // local plateaus, so compare 2 steps apart).
         for w in curve.windows(3) {
-            assert!(w[2].1 >= w[0].1 - 1e-12);
+            assert!(w[2] >= w[0] - 1e-12);
         }
     }
 

@@ -41,49 +41,32 @@ pub fn generate(config: &TaskConfig) -> Dataset {
     }
 }
 
-/// The five standard benchmark tasks in the paper's Table 1 order, using
-/// the canonical class pair for the pair-sampled datasets.
-// goggles-lint: allow(dead-pub): the paper's Table 1 task catalog; exercised only by this crate's unit tests
-pub fn standard_suite(
-    n_train_per_class: usize,
-    n_test_per_class: usize,
-    seed: u64,
-) -> Vec<TaskConfig> {
-    vec![
-        TaskConfig::new(
-            TaskKind::Cub { class_a: 0, class_b: 1 },
-            n_train_per_class,
-            n_test_per_class,
-            seed,
-        ),
-        TaskConfig::new(
-            TaskKind::Gtsrb { class_a: 0, class_b: 1 },
-            n_train_per_class,
-            n_test_per_class,
-            seed,
-        ),
-        TaskConfig::new(TaskKind::Surface, n_train_per_class, n_test_per_class, seed),
-        TaskConfig::new(TaskKind::TbXray, n_train_per_class, n_test_per_class, seed),
-        TaskConfig::new(TaskKind::PnXray, n_train_per_class, n_test_per_class, seed),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The five benchmark tasks in the paper's Table 1 order, with the
+    /// canonical class pair for the pair-sampled datasets.
+    fn table1_kinds() -> [TaskKind; 5] {
+        [
+            TaskKind::Cub { class_a: 0, class_b: 1 },
+            TaskKind::Gtsrb { class_a: 0, class_b: 1 },
+            TaskKind::Surface,
+            TaskKind::TbXray,
+            TaskKind::PnXray,
+        ]
+    }
+
     #[test]
     fn standard_suite_covers_all_five() {
-        let suite = standard_suite(10, 5, 0);
-        assert_eq!(suite.len(), 5);
-        let names: Vec<&str> = suite.iter().map(|c| c.kind.dataset_name()).collect();
+        let names: Vec<&str> = table1_kinds().iter().map(|k| k.dataset_name()).collect();
         assert_eq!(names, vec!["CUB", "GTSRB", "Surface", "TB-Xray", "PN-Xray"]);
     }
 
     #[test]
     fn generate_dispatches_every_kind() {
-        for cfg in standard_suite(4, 2, 1) {
-            let ds = generate(&cfg);
+        for kind in table1_kinds() {
+            let ds = generate(&TaskConfig::new(kind, 4, 2, 1));
             assert_eq!(ds.images.len(), 12, "{}", ds.name);
             assert_eq!(ds.num_classes, 2);
         }

@@ -133,44 +133,6 @@ fn l2_norm(v: &[f64]) -> f64 {
     v.iter().map(|&x| x * x).sum::<f64>().sqrt()
 }
 
-/// The plain "Baseline" variant of Chen et al. (no cosine normalization):
-/// an ordinary linear softmax head trained on the support set. Kept for the
-/// Baseline-vs-Baseline++ comparison the FSL reference paper runs; the
-/// GOGGLES paper's FSL column uses Baseline++ ([`CosineClassifier`]).
-#[derive(Debug, Clone)]
-// goggles-lint: allow(dead-pub): the paper's linear few-shot baseline head, API-symmetric with the exported CosineClassifier; exercised only by unit tests
-pub struct LinearFewShot {
-    head: crate::head::SoftmaxHead,
-}
-
-impl LinearFewShot {
-    /// Train a linear head on the (few) support examples.
-    pub fn train(
-        features: &goggles_tensor::Matrix<f64>,
-        labels: &[usize],
-        num_classes: usize,
-        epochs: usize,
-        seed: u64,
-    ) -> Self {
-        let soft = crate::evaluate::one_hot_labels(labels, num_classes);
-        let cfg = crate::head::TrainConfig { epochs, seed, ..crate::head::TrainConfig::default() };
-        Self { head: crate::head::SoftmaxHead::train(features, &soft, &cfg) }
-    }
-
-    /// Hard predictions for query features.
-    pub fn predict(&self, features: &goggles_tensor::Matrix<f64>) -> Vec<usize> {
-        self.head.predict(features)
-    }
-
-    /// Class probabilities for query features.
-    pub fn predict_proba(
-        &self,
-        features: &goggles_tensor::Matrix<f64>,
-    ) -> goggles_tensor::Matrix<f64> {
-        self.head.predict_proba(features)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,19 +199,6 @@ mod tests {
         let a0 = accuracy(&init.predict(&support), &s_labels);
         let a1 = accuracy(&trained.predict(&support), &s_labels);
         assert!(a1 >= a0 - 0.05, "training hurt: {a0} → {a1}");
-    }
-
-    #[test]
-    fn linear_baseline_learns_separable_support() {
-        let (support, s_labels) = blobs(5, 2.0, 9);
-        let (query, q_labels) = blobs(60, 2.0, 10);
-        let clf = LinearFewShot::train(&support, &s_labels, 2, 200, 0);
-        let acc = accuracy(&clf.predict(&query), &q_labels);
-        assert!(acc > 0.85, "linear few-shot accuracy = {acc}");
-        let p = clf.predict_proba(&query);
-        for i in 0..p.rows() {
-            assert!((p.row(i).iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod head;
 
 pub use adam::Adam;
 pub use evaluate::{accuracy, one_hot_labels, standardize_fit, Standardizer};
-pub use fsl::{CosineClassifier, LinearFewShot};
+pub use fsl::CosineClassifier;
 pub use head::{MlpHead, SoftmaxHead, TrainConfig};

@@ -120,14 +120,6 @@ impl BernoulliMixture {
     pub fn train_labels(&self) -> Vec<usize> {
         hard_labels(&self.responsibilities)
     }
-
-    /// Number of free parameters: `K(d + 1) - 1`. Together with the base
-    /// models this realizes the paper's `2αKN + αK` count (§4.1).
-    // goggles-lint: allow(dead-pub): BIC/model-selection statistic the paper reports; exercised only by unit tests
-    pub fn n_parameters(&self) -> usize {
-        let k = self.weights.len();
-        k * (self.probs.cols() + 1) - 1
-    }
 }
 
 /// Shared EM loop: alternate E-step (Equation 8) and M-step (Equation 11)
@@ -310,13 +302,6 @@ mod tests {
         // Posterior recomputed on training data ≈ stored responsibilities.
         let diff = rep.max_abs_diff(&bm.responsibilities);
         assert!(diff < 1e-8, "diff = {diff}");
-    }
-
-    #[test]
-    fn parameter_count_formula() {
-        let (data, _) = binary_blobs(30, 7, 0.1, 6);
-        let bm = BernoulliMixture::fit(&data, 2, &EmOptions::default(), 0).unwrap();
-        assert_eq!(bm.n_parameters(), 2 * 8 - 1);
     }
 
     #[test]

@@ -169,15 +169,6 @@ impl DiagonalGmm {
     pub fn train_labels(&self) -> Vec<usize> {
         hard_labels(&self.responsibilities)
     }
-
-    /// Number of free parameters: `K(2d + 1) - 1` (means, variances,
-    /// weights). The paper's §4.1 parameter-count argument.
-    // goggles-lint: allow(dead-pub): BIC/model-selection statistic the paper reports; exercised only by unit tests
-    pub fn n_parameters(&self) -> usize {
-        let k = self.weights.len();
-        let d = self.means.cols();
-        k * (2 * d + 1) - 1
-    }
 }
 
 /// The mixture parameters EM iterates on.
@@ -777,14 +768,6 @@ mod tests {
             DiagonalGmm::fit_from(&data, &fit.weights, &bad, &fit.variances, &EmOptions::default()),
             Err(ModelError::InvalidParameter(_))
         ));
-    }
-
-    #[test]
-    fn parameter_count_formula() {
-        let (data, _) = gaussian_blobs(30, 2.0, 6);
-        let gmm = DiagonalGmm::fit(&data, 2, &EmOptions::default(), 0).unwrap();
-        // K(2d+1)-1 with K=2, d=2 → 9
-        assert_eq!(gmm.n_parameters(), 9);
     }
 
     #[test]

@@ -123,15 +123,6 @@ impl FullGmm {
     pub fn train_labels(&self) -> Vec<usize> {
         hard_labels(&self.responsibilities)
     }
-
-    /// Number of free parameters: `K(d(d+1)/2 + d + 1) - 1` — the count the
-    /// paper contrasts against the hierarchical model's `2αKN + αK` (§4.1).
-    // goggles-lint: allow(dead-pub): BIC/model-selection statistic the paper reports; exercised only by unit tests
-    pub fn n_parameters(&self) -> usize {
-        let k = self.weights.len();
-        let d = self.means.cols();
-        k * (d * (d + 1) / 2 + d + 1) - 1
-    }
 }
 
 /// Full-covariance M-step; returns the per-component Cholesky factors.
@@ -328,14 +319,6 @@ mod tests {
         for i in 0..p.rows() {
             assert!((p.row(i).iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn parameter_count_is_quadratic_in_d() {
-        let (data, _) = correlated_blobs(50, 5);
-        let gmm = FullGmm::fit(&data, 2, &EmOptions::default(), 0).unwrap();
-        // K=2, d=2: 2*(3 + 2 + 1) - 1 = 11
-        assert_eq!(gmm.n_parameters(), 11);
     }
 
     #[test]

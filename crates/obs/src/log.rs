@@ -99,16 +99,6 @@ pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-// goggles-lint: allow(dead-pub): log-level introspection, pairs with the exported Level enum; exercised only by unit tests
-pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
-}
-
 /// Switch between JSONL (`true`) and human-readable text (`false`).
 pub fn set_json(json: bool) {
     JSON.store(json, Ordering::Relaxed);
@@ -149,10 +139,6 @@ pub fn warn(component: &str, msg: &str, fields: &[(&str, Value)]) {
 }
 pub fn info(component: &str, msg: &str, fields: &[(&str, Value)]) {
     event(Level::Info, component, msg, fields);
-}
-// goggles-lint: allow(dead-pub): log-emitter sibling of the used info/warn macros; exercised only by unit tests
-pub fn debug(component: &str, msg: &str, fields: &[(&str, Value)]) {
-    event(Level::Debug, component, msg, fields);
 }
 
 /// JSONL form: `{"ts_us":...,"level":"warn","component":"serve","msg":"...",...}`.

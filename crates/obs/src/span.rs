@@ -1,11 +1,10 @@
 //! RAII stage timing and a bounded ring buffer of recent trace events.
 //!
 //! A [`Span`] measures wall-clock time from `enter` to drop and records the
-//! elapsed microseconds into a [`Histogram`]; optionally it also pushes a
-//! [`TraceEvent`] into a [`TraceRing`] so operators can inspect the most
-//! recent requests stage-by-stage. Spans never touch the data plane: they
-//! only read the clock and bump atomics, so enabling them cannot change
-//! label output.
+//! elapsed microseconds into a [`Histogram`]; callers push [`TraceEvent`]s
+//! into a [`TraceRing`] so operators can inspect the most recent requests
+//! stage-by-stage. Spans never touch the data plane: they only read the
+//! clock and bump atomics, so enabling them cannot change label output.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
@@ -44,11 +43,6 @@ impl TraceRing {
         }
     }
 
-    // goggles-lint: allow(dead-pub): ring-size introspection pairing with the exported TraceRing::new; exercised only by unit tests
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
@@ -80,11 +74,10 @@ impl TraceRing {
     }
 }
 
-/// RAII timer: started by [`Span::enter`], records into its histogram (and
-/// optionally a trace ring) when dropped or explicitly closed.
+/// RAII timer: started by [`Span::enter`], records into its histogram when
+/// dropped or explicitly closed.
 pub struct Span<'a> {
     histogram: &'a Histogram,
-    ring: Option<(&'a TraceRing, &'static str, u64)>,
     start: Instant,
     done: bool,
 }
@@ -92,18 +85,7 @@ pub struct Span<'a> {
 impl<'a> Span<'a> {
     /// Start timing a stage into `histogram`.
     pub fn enter(histogram: &'a Histogram) -> Span<'a> {
-        Span { histogram, ring: None, start: Instant::now(), done: false }
-    }
-
-    /// Start timing a stage, also pushing a [`TraceEvent`] on close.
-    // goggles-lint: allow(dead-pub): span constructor pairing with the exported enter; exercised only by unit tests
-    pub fn enter_traced(
-        histogram: &'a Histogram,
-        ring: &'a TraceRing,
-        stage: &'static str,
-        tag: u64,
-    ) -> Span<'a> {
-        Span { histogram, ring: Some((ring, stage, tag)), start: Instant::now(), done: false }
+        Span { histogram, start: Instant::now(), done: false }
     }
 
     /// Close the span now, returning the recorded duration in microseconds.
@@ -118,9 +100,6 @@ impl<'a> Span<'a> {
         self.done = true;
         let us = self.start.elapsed().as_micros() as u64;
         self.histogram.observe(us);
-        if let Some((ring, stage, tag)) = self.ring {
-            ring.push(stage, us, tag);
-        }
         us
     }
 }
@@ -145,17 +124,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.total(), 2);
         assert!(snap.sum >= explicit);
-    }
-
-    #[test]
-    fn traced_span_pushes_event() {
-        let h = Histogram::detached();
-        let ring = TraceRing::new(4);
-        Span::enter_traced(&h, &ring, "embed", 9).exit();
-        let events = ring.recent();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].stage, "embed");
-        assert_eq!(events[0].tag, 9);
     }
 
     #[test]

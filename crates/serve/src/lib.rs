@@ -18,7 +18,8 @@
 //!    Per-request cost is `O(image)`, not `O(dataset)`.
 //! 3. **Service front** — [`LabelService`] runs worker threads over a
 //!    bounded request queue with micro-batching (configurable batch size
-//!    and linger timeout) and throughput/latency counters.
+//!    and linger timeout) and throughput/latency counters. Its one
+//!    labeling surface is its [`Labeler`] impl.
 //! 4. **Model lifecycle** — a [`SnapshotRegistry`] of versioned
 //!    `Arc<FittedLabeler>`s behind every service: atomic
 //!    `publish`/`rollback` under live traffic (workers resolve the current
@@ -44,7 +45,7 @@
 //! ```no_run
 //! use goggles_core::GogglesConfig;
 //! use goggles_datasets::{generate, TaskConfig, TaskKind};
-//! use goggles_serve::{FittedLabeler, LabelService, ServeConfig};
+//! use goggles_serve::{FittedLabeler, LabelService, Labeler, ServeConfig};
 //!
 //! // Fit once (batch), freeze, and persist.
 //! let ds = generate(&TaskConfig::new(TaskKind::Surface, 40, 25, 7));
@@ -158,7 +159,7 @@ impl std::error::Error for ServeError {}
 /// Reject an image with a pixel outside the nominal `[0, 1]` range (NaN
 /// and ±inf fail the same test) as [`ServeError::InvalidImage`]. Every door
 /// an image takes into a model checks it: the wire decoders,
-/// [`LabelService::submit`], [`FittedLabeler`]'s [`Labeler`] impl and the
+/// [`LabelService`]'s and [`FittedLabeler`]'s [`Labeler`] impls and the
 /// trainer's intake.
 pub fn check_pixels(image: &goggles_vision::Image) -> Result<()> {
     let pixels = image.tensor().as_slice();

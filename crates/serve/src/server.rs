@@ -4,7 +4,7 @@
 //! accepts a connection and speaks the [`crate::wire`] protocol over it
 //! until the peer disconnects, then goes back to accepting. Label requests
 //! are fed to the existing micro-batcher through tickets
-//! ([`crate::LabelService::submit_with_deadline`]): the connection's reader
+//! ([`crate::Labeler::submit_with_deadline`]): the connection's reader
 //! keeps parsing frames while a per-connection writer thread awaits tickets
 //! in submission order, so one pipelined client fills whole micro-batches
 //! and slow labeling never stops request intake.
@@ -33,7 +33,7 @@ use crate::wire::{
     encode_ingest_reply, encode_label_reply, encode_metrics_reply, encode_reload_reply,
     encode_stats_reply, Opcode, RemoteStats,
 };
-use crate::{ServeError, ServeResult, Ticket};
+use crate::{Labeler, ServeError, ServeResult, Ticket};
 use goggles_vision::Image;
 use std::collections::HashMap;
 use std::io::BufWriter;

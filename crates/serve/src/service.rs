@@ -12,15 +12,15 @@
 //! Prometheus text, and [`LabelService::stats`] reads the same handles,
 //! so the two views cannot disagree.
 //!
-//! Submission is **ticket-based** ([`LabelService::submit`] →
-//! [`Ticket`]): the caller gets a handle it can `poll`, `wait`, or
+//! The service's one labeling surface is the transport-agnostic
+//! [`Labeler`] trait. Submission is **ticket-based** ([`Labeler::submit`]
+//! → [`Ticket`]): the caller gets a handle it can `poll`, `wait`, or
 //! `wait_timeout`; dropping the ticket cancels a still-queued request, and
-//! a per-request deadline ([`LabelService::submit_with_deadline`]) is
-//! enforced by the batcher — expired requests are answered with
+//! a per-request deadline ([`Labeler::submit_with_deadline`]) is enforced
+//! by the batcher — expired requests are answered with
 //! [`ServeError::Deadline`] instead of occupying a batch slot. The
-//! blocking [`LabelService::label`]/[`LabelService::label_all`] calls are
-//! thin wrappers over tickets, and the service implements the
-//! transport-agnostic [`Labeler`] trait.
+//! blocking [`Labeler::label`]/[`Labeler::label_all`] calls are the
+//! trait's thin wrappers over tickets.
 //!
 //! Workers resolve the current labeler **per batch** through the registry:
 //! no lock is held across labeling, an in-flight batch finishes on the
@@ -410,8 +410,8 @@ struct Shared {
     metrics: Arc<ServeMetrics>,
 }
 
-/// A running labeling service: spawn with [`LabelService::spawn`], submit
-/// with [`LabelService::label`] from any thread, stop with
+/// A running labeling service: spawn with [`LabelService::spawn`], label
+/// through its [`Labeler`] impl from any thread, stop with
 /// [`LabelService::shutdown`] (or drop).
 pub struct LabelService {
     shared: Arc<Shared>,
@@ -462,87 +462,6 @@ impl LabelService {
             })
             .collect();
         Self { shared, workers }
-    }
-
-    /// Enqueue one image (no deadline) and return its [`Ticket`]. The
-    /// image travels as `Arc<Image>` — pass an `Arc` (or an owned `Image`,
-    /// converted without copying pixels) and the hot path is copy-free.
-    /// Applies backpressure: blocks while the queue is at capacity, or —
-    /// with [`ServeConfig::shed_watermark`] set — sheds immediately with
-    /// [`ServeError::Overloaded`] once the queue reaches the watermark. An
-    /// image with a pixel outside `[0, 1]` is refused up front with
-    /// [`ServeError::InvalidImage`].
-    pub fn submit(&self, image: impl Into<Arc<Image>>) -> ServeResult<Ticket> {
-        self.submit_with_deadline(image, None)
-    }
-
-    /// [`LabelService::submit`] with an optional absolute deadline. A
-    /// deadline that is already expired resolves to
-    /// [`ServeError::Deadline`] immediately — the request never takes a
-    /// queue slot; one that expires while queued is answered with the same
-    /// error by the micro-batcher instead of occupying a batch slot.
-    pub fn submit_with_deadline(
-        &self,
-        image: impl Into<Arc<Image>>,
-        deadline: Option<Instant>,
-    ) -> ServeResult<Ticket> {
-        let image = image.into();
-        if let Err(e) = crate::check_pixels(&image) {
-            self.record_invalid();
-            return Err(e);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.shared.metrics.requests_deadline.inc();
-            return Ok(Ticket::ready(Err(ServeError::Deadline)));
-        }
-        let (tx, rx) = mpsc::channel();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-        // Watermark shedding: with a watermark configured, overload is a
-        // typed, immediately-returned error rather than producer blocking —
-        // the caller (or a remote RetryPolicy) decides whether to back off
-        // and retry, and queue latency stays bounded.
-        let watermark = self.shared.config.shed_watermark;
-        if watermark > 0 && state.queue.len() >= watermark {
-            drop(state);
-            self.shared.metrics.requests_shed.inc();
-            return Err(ServeError::Overloaded);
-        }
-        while state.queue.len() >= self.shared.config.queue_capacity {
-            if state.shutting_down {
-                return Err(ServeError::Closed);
-            }
-            state = self.shared.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        if state.shutting_down {
-            return Err(ServeError::Closed);
-        }
-        state.queue.push_back(Request {
-            image,
-            enqueued: Instant::now(),
-            deadline,
-            cancel: Arc::clone(&cancel),
-            respond: tx,
-        });
-        self.shared.metrics.queue_depth.add(1);
-        self.shared.not_empty.notify_one();
-        Ok(Ticket::pending(rx, Some(cancel)))
-    }
-
-    /// Label one image, blocking until a worker answers — a thin wrapper
-    /// over [`LabelService::submit`] + [`Ticket::wait`].
-    pub fn label(&self, image: &Image) -> ServeResult<LabelResponse> {
-        self.submit(image.clone())?.wait()
-    }
-
-    /// Label several images; answers come back in input order. All images
-    /// are enqueued **before** the first answer is awaited, so a single
-    /// caller still feeds the micro-batcher full batches instead of paying
-    /// one linger timeout per image.
-    pub fn label_all(&self, images: &[&Image]) -> ServeResult<Vec<LabelResponse>> {
-        let tickets: Vec<Ticket> =
-            images.iter().map(|img| self.submit((*img).clone())).collect::<ServeResult<_>>()?;
-        tickets.into_iter().map(Ticket::wait).collect()
     }
 
     /// Snapshot of the service counters, read from the same registry
@@ -654,20 +573,62 @@ impl Drop for LabelService {
 }
 
 impl Labeler for LabelService {
+    /// Enqueue one image and return its [`Ticket`]. The image travels as
+    /// `Arc<Image>`, so the hot path is copy-free. Applies backpressure:
+    /// blocks while the queue is at capacity, or — with
+    /// [`ServeConfig::shed_watermark`] set — sheds immediately with
+    /// [`ServeError::Overloaded`] once the queue reaches the watermark. An
+    /// image with a pixel outside `[0, 1]` is refused up front with
+    /// [`ServeError::InvalidImage`]. A deadline that is already expired
+    /// resolves to [`ServeError::Deadline`] immediately — the request never
+    /// takes a queue slot; one that expires while queued is answered with
+    /// the same error by the micro-batcher instead of occupying a batch
+    /// slot.
     fn submit_with_deadline(
         &self,
         image: Arc<Image>,
         deadline: Option<Instant>,
     ) -> ServeResult<Ticket> {
-        LabelService::submit_with_deadline(self, image, deadline)
-    }
-
-    fn label(&self, image: &Image) -> ServeResult<LabelResponse> {
-        LabelService::label(self, image)
-    }
-
-    fn label_all(&self, images: &[&Image]) -> ServeResult<Vec<LabelResponse>> {
-        LabelService::label_all(self, images)
+        if let Err(e) = crate::check_pixels(&image) {
+            self.record_invalid();
+            return Err(e);
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            self.shared.metrics.requests_deadline.inc();
+            return Ok(Ticket::ready(Err(ServeError::Deadline)));
+        }
+        let (tx, rx) = mpsc::channel();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        // Watermark shedding: with a watermark configured, overload is a
+        // typed, immediately-returned error rather than producer blocking —
+        // the caller (or a remote RetryPolicy) decides whether to back off
+        // and retry, and queue latency stays bounded.
+        let watermark = self.shared.config.shed_watermark;
+        if watermark > 0 && state.queue.len() >= watermark {
+            drop(state);
+            self.shared.metrics.requests_shed.inc();
+            return Err(ServeError::Overloaded);
+        }
+        while state.queue.len() >= self.shared.config.queue_capacity {
+            if state.shutting_down {
+                return Err(ServeError::Closed);
+            }
+            state = self.shared.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        if state.shutting_down {
+            return Err(ServeError::Closed);
+        }
+        state.queue.push_back(Request {
+            image,
+            enqueued: Instant::now(),
+            deadline,
+            cancel: Arc::clone(&cancel),
+            respond: tx,
+        });
+        self.shared.metrics.queue_depth.add(1);
+        self.shared.not_empty.notify_one();
+        Ok(Ticket::pending(rx, Some(cancel)))
     }
 }
 
@@ -1214,9 +1175,9 @@ mod tests {
             },
         );
         let img = ds.test_images()[0].clone();
-        let t1 = service.submit(img.clone()).unwrap();
-        let t2 = service.submit(img.clone()).unwrap();
-        let shed = service.submit(img.clone());
+        let t1 = service.submit(Arc::new(img.clone())).unwrap();
+        let t2 = service.submit(Arc::new(img.clone())).unwrap();
+        let shed = service.submit(Arc::new(img.clone()));
         match shed {
             Err(ServeError::Overloaded) => {}
             other => panic!("expected Overloaded at the watermark, got {other:?}"),
@@ -1243,7 +1204,8 @@ mod tests {
         let service = LabelService::spawn(labeler, ServeConfig::default());
         let img = ds.test_images()[0].clone();
         let past = Instant::now() - Duration::from_millis(5);
-        let outcome = service.submit_with_deadline(img.clone(), Some(past)).unwrap().wait();
+        let outcome =
+            service.submit_with_deadline(Arc::new(img.clone()), Some(past)).unwrap().wait();
         assert!(matches!(outcome, Err(ServeError::Deadline)), "got {outcome:?}");
         let stats = service.stats();
         assert_eq!(stats.requests, 0, "expired request must never be labeled");
@@ -1269,15 +1231,15 @@ mod tests {
         );
         let img = ds.test_images()[0].clone();
         // the request that will actually be labeled
-        let keep = service.submit(img.clone()).unwrap();
+        let keep = service.submit(Arc::new(img.clone())).unwrap();
         // three tickets dropped while queued → cancelled, never labeled
         for _ in 0..3 {
-            drop(service.submit(img.clone()).unwrap());
+            drop(service.submit(Arc::new(img.clone())).unwrap());
         }
         // two requests whose deadline expires inside the linger window
         let d = Instant::now() + Duration::from_millis(20);
-        let t1 = service.submit_with_deadline(img.clone(), Some(d)).unwrap();
-        let t2 = service.submit_with_deadline(img.clone(), Some(d)).unwrap();
+        let t1 = service.submit_with_deadline(Arc::new(img.clone()), Some(d)).unwrap();
+        let t2 = service.submit_with_deadline(Arc::new(img.clone()), Some(d)).unwrap();
         assert!(matches!(t1.wait(), Err(ServeError::Deadline)));
         assert!(matches!(t2.wait(), Err(ServeError::Deadline)));
         let resp = keep.wait().expect("the live request must be answered");
@@ -1297,7 +1259,7 @@ mod tests {
             labeler,
             ServeConfig { workers: 1, batch_timeout: Duration::ZERO, ..ServeConfig::default() },
         );
-        let mut ticket = service.submit(ds.test_images()[0].clone()).unwrap();
+        let mut ticket = service.submit(Arc::new(ds.test_images()[0].clone())).unwrap();
         // poll until resolved (bounded spin; the answer takes ~ms)
         let deadline = Instant::now() + Duration::from_secs(30);
         let outcome = loop {
@@ -1309,7 +1271,7 @@ mod tests {
         };
         assert_eq!(outcome.unwrap().probs, expected.probs.row(0));
         // a second ticket resolved through wait_timeout
-        let mut t = service.submit(ds.test_images()[0].clone()).unwrap();
+        let mut t = service.submit(Arc::new(ds.test_images()[0].clone())).unwrap();
         let r = loop {
             if let Some(r) = t.wait_timeout(Duration::from_millis(100)) {
                 break r;
@@ -1339,6 +1301,37 @@ mod tests {
     }
 
     #[test]
+    fn in_range_extreme_images_label_to_distributions() {
+        let (labeler, ds) = fitted(31);
+        let (c, h, w) = ds.test_images()[0].shape();
+        let mut stripes = Image::new(c, h, w);
+        for ch in 0..c {
+            for y in (0..h).step_by(2) {
+                for x in 0..w {
+                    stripes.set(ch, y, x, 1.0);
+                }
+            }
+        }
+        let extremes = [
+            ("all-0", Image::filled(c, h, w, 0.0)),
+            ("all-1", Image::filled(c, h, w, 1.0)),
+            ("smallest subnormal", Image::filled(c, h, w, f32::from_bits(1))),
+            ("-0.0", Image::filled(c, h, w, -0.0)),
+            ("0/1 stripes", stripes),
+        ];
+        let service = LabelService::spawn(labeler.clone(), ServeConfig::default());
+        let labelers: [(&str, &dyn Labeler); 2] = [("fitted", &labeler), ("service", &service)];
+        for (name, image) in &extremes {
+            for (via, labeler) in labelers {
+                let probs = labeler.label(image).unwrap().probs;
+                let sum: f64 = probs.iter().sum();
+                assert!(probs.iter().all(|p| p.is_finite()), "{name} via {via}: {probs:?}");
+                assert!((sum - 1.0).abs() <= 1e-9, "{name} via {via}: rows sum to {sum}");
+            }
+        }
+    }
+
+    #[test]
     fn stats_expose_queue_depth_and_batch_size_distribution() {
         // One worker and a long linger: submissions sit in the queue, so
         // the live depth gauge is observable before the drain.
@@ -1353,8 +1346,8 @@ mod tests {
             },
         );
         let img = ds.test_images()[0].clone();
-        let t1 = service.submit(img.clone()).unwrap();
-        let t2 = service.submit(img).unwrap();
+        let t1 = service.submit(Arc::new(img.clone())).unwrap();
+        let t2 = service.submit(Arc::new(img)).unwrap();
         assert_eq!(service.stats().queue_depth, 2, "both requests still queued");
         t1.wait().unwrap();
         t2.wait().unwrap();
@@ -1470,17 +1463,17 @@ mod tests {
         let mut huge = good.clone();
         huge.tensor_mut().as_mut_slice()[0] = 1e30;
 
-        let ok = service.submit(good.clone()).unwrap();
-        let poisoned = service.submit(bad).unwrap();
-        drop(service.submit(good.clone()).unwrap()); // cancelled while queued
+        let ok = service.submit(Arc::new(good.clone())).unwrap();
+        let poisoned = service.submit(Arc::new(bad)).unwrap();
+        drop(service.submit(Arc::new(good.clone())).unwrap()); // cancelled while queued
         let soon = Instant::now() + Duration::from_millis(20);
-        let expires = service.submit_with_deadline(good.clone(), Some(soon)).unwrap();
-        assert!(matches!(service.submit(good.clone()), Err(ServeError::Overloaded)));
+        let expires = service.submit_with_deadline(Arc::new(good.clone()), Some(soon)).unwrap();
+        assert!(matches!(service.submit(Arc::new(good.clone())), Err(ServeError::Overloaded)));
         let past = Instant::now() - Duration::from_millis(5);
-        let expired = service.submit_with_deadline(good.clone(), Some(past)).unwrap();
+        let expired = service.submit_with_deadline(Arc::new(good.clone()), Some(past)).unwrap();
         assert!(matches!(expired.wait(), Err(ServeError::Deadline)));
-        assert!(matches!(service.submit(nan), Err(ServeError::InvalidImage(_))));
-        assert!(matches!(service.submit(huge), Err(ServeError::InvalidImage(_))));
+        assert!(matches!(service.submit(Arc::new(nan)), Err(ServeError::InvalidImage(_))));
+        assert!(matches!(service.submit(Arc::new(huge)), Err(ServeError::InvalidImage(_))));
 
         assert!(ok.wait().is_ok(), "salvaged from the poisoned batch");
         assert!(matches!(poisoned.wait(), Err(ServeError::Closed)));

@@ -1290,13 +1290,6 @@ pub fn solve_lower_triangular(l: &Matrix<f64>, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// `log det(a)` of a positive-definite matrix via its Cholesky factor.
-// goggles-lint: allow(dead-pub): documented numeric API; currently exercised only by this crate's unit tests
-pub fn log_det_psd(a: &Matrix<f64>) -> Result<f64> {
-    let l = cholesky(a)?;
-    Ok(2.0 * (0..a.rows()).map(|i| l[(i, i)].ln()).sum::<f64>())
-}
-
 /// Principal component analysis fit on the rows of a data matrix.
 ///
 /// This mirrors what the Snuba comparison in the paper does with the VGG-16
@@ -2216,14 +2209,6 @@ mod tests {
         for (bb, xb) in b.iter().zip(back.iter()) {
             assert!((bb - xb).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn log_det_matches_eigenvalue_product() {
-        let a = spd3();
-        let eig = jacobi_eigh(&a).unwrap();
-        let expect: f64 = eig.values.iter().map(|v| v.ln()).sum();
-        assert!((log_det_psd(&a).unwrap() - expect).abs() < 1e-9);
     }
 
     #[test]

@@ -321,12 +321,6 @@ impl<T: Scalar> Matrix<T> {
         Self { rows: indices.len(), cols: self.cols, data }
     }
 
-    /// `true` when every element is finite.
-    // goggles-lint: allow(dead-pub): documented numeric API; currently exercised only by this crate's unit tests
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
     /// Maximum absolute elementwise difference against `other`.
     pub fn max_abs_diff(&self, other: &Self) -> T {
         assert_eq!(self.shape(), other.shape());
@@ -478,14 +472,6 @@ mod tests {
         let r = m.select_rows(&[1, 0]);
         assert_eq!(r.row(0), m.row(1));
         assert_eq!(r.row(1), m.row(0));
-    }
-
-    #[test]
-    fn all_finite_detects_nan() {
-        let mut m = sample();
-        assert!(m.all_finite());
-        m[(0, 0)] = f64::NAN;
-        assert!(!m.all_finite());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! are reproducible bit-for-bit.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Construct the workspace-standard RNG from a seed.
@@ -20,20 +19,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// `n` i.i.d. normal variates with the given mean and standard deviation.
-// goggles-lint: allow(dead-pub): documented rng API, sibling of the used `normal`; exercised only by unit tests
-pub fn normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, mean: f64, std_dev: f64) -> Vec<f64> {
-    (0..n).map(|_| mean + std_dev * normal(rng)).collect()
-}
-
-/// A uniformly shuffled permutation of `0..n`.
-// goggles-lint: allow(dead-pub): documented rng API; exercised only by unit tests
-pub fn shuffled_indices<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    idx
 }
 
 /// Sample `k` distinct indices from `0..n` uniformly at random
@@ -93,19 +78,11 @@ mod tests {
     #[test]
     fn normal_moments_are_plausible() {
         let mut rng = std_rng(42);
-        let xs = normal_vec(&mut rng, 20_000, 1.5, 2.0);
+        let xs: Vec<f64> = (0..20_000).map(|_| 1.5 + 2.0 * normal(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((mean - 1.5).abs() < 0.05, "mean = {mean}");
         assert!((var - 4.0).abs() < 0.2, "var = {var}");
-    }
-
-    #[test]
-    fn shuffled_indices_is_permutation() {
-        let mut rng = std_rng(3);
-        let mut p = shuffled_indices(&mut rng, 100);
-        p.sort_unstable();
-        assert_eq!(p, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -108,33 +108,6 @@ impl<T: Scalar> Tensor3<T> {
         (0..self.channels).map(|c| self.data[c * plane + offset]).collect()
     }
 
-    /// Per-channel global max (the "2D Global Max Pooling" of §3.1).
-    // goggles-lint: allow(dead-pub): documented tensor API; exercised only by unit tests
-    pub fn global_max_pool(&self) -> Vec<T> {
-        (0..self.channels)
-            .map(|c| {
-                self.channel(c)
-                    .iter()
-                    .copied()
-                    .fold(T::from_f64(f64::NEG_INFINITY), |a, v| a.maximum(v))
-            })
-            .collect()
-    }
-
-    /// Location `(h, w)` of the maximum value of channel `c`
-    /// (first occurrence wins on ties, scanning row-major).
-    // goggles-lint: allow(dead-pub): documented tensor API; exercised only by unit tests
-    pub fn channel_argmax(&self, c: usize) -> (usize, usize) {
-        let plane = self.channel(c);
-        let mut best = 0usize;
-        for (idx, &v) in plane.iter().enumerate() {
-            if v > plane[best] {
-                best = idx;
-            }
-        }
-        (best / self.width, best % self.width)
-    }
-
     /// Elementwise in-place map.
     pub fn map_in_place(&mut self, f: impl Fn(T) -> T) {
         for v in &mut self.data {
@@ -195,21 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn global_max_pool_per_channel() {
-        let t = sample();
-        assert_eq!(t.global_max_pool(), vec![4.0, 8.0]);
-    }
-
-    #[test]
-    fn channel_argmax_finds_peak() {
-        let t = sample();
-        assert_eq!(t.channel_argmax(0), (1, 1));
-        let mut t2 = t.clone();
-        t2.set(0, 0, 0, 100.0);
-        assert_eq!(t2.channel_argmax(0), (0, 0));
-    }
-
-    #[test]
     fn spatial_vectors_matrix_layout() {
         let t = sample();
         let m = t.spatial_vectors_matrix();
@@ -220,7 +178,9 @@ mod tests {
 
     #[test]
     fn paper_example4_top2_prototypes() {
-        // Example 4 of the paper: 3 channels of 2x2.
+        // Example 4 of the paper: 3 channels of 2x2. The top-2 channels by
+        // global max are C1 (1.0 at (0,0)) and C3 (0.9 at (0,1)); the
+        // prototypes are the channel-axis vectors at those locations.
         let t = Tensor3::from_vec(
             3,
             2,
@@ -228,11 +188,6 @@ mod tests {
             vec![1.0, 0.5, 0.3, 0.6, 0.1, 0.7, 0.4, 0.3, 0.2, 0.9, 0.5, 0.1],
         )
         .unwrap();
-        let maxes = t.global_max_pool();
-        assert_eq!(maxes, vec![1.0, 0.7, 0.9]);
-        // top-2 channels by activation: C1 (1.0) then C3 (0.9)
-        assert_eq!(t.channel_argmax(0), (0, 0));
-        assert_eq!(t.channel_argmax(2), (0, 1));
         assert_eq!(t.spatial_vector(0, 0), vec![1.0, 0.1, 0.2]);
         assert_eq!(t.spatial_vector(0, 1), vec![0.5, 0.7, 0.9]);
     }

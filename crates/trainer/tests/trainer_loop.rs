@@ -21,7 +21,8 @@ mod loop_tests {
     use goggles_core::GogglesConfig;
     use goggles_datasets::{generate, TaskConfig, TaskKind};
     use goggles_serve::{
-        fault, FaultPlan, FittedLabeler, LabelService, ServeConfig, ServeError, TrainingBootstrap,
+        fault, FaultPlan, FittedLabeler, LabelService, Labeler, ServeConfig, ServeError,
+        TrainingBootstrap,
     };
     use goggles_trainer::{RefitOutcome, Trainer, TrainerConfig};
     use goggles_vision::Image;

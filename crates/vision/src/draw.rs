@@ -242,18 +242,6 @@ pub fn fill_stripes_in_disc(
     }
 }
 
-/// Checkerboard fill over the whole image with the given cell size.
-// goggles-lint: allow(dead-pub): documented drawing primitive; exercised only by this crate's unit tests
-pub fn fill_checkerboard(img: &mut Image, cell: usize, color_a: &[f32], color_b: &[f32]) {
-    let cell = cell.max(1);
-    for y in 0..img.height() {
-        for x in 0..img.width() {
-            let parity = (y / cell + x / cell) % 2;
-            img.set_pixel(y, x, if parity == 0 { color_a } else { color_b });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,14 +348,5 @@ mod tests {
         assert_eq!(img.get(0, 2, 2), 0.0);
         let painted: f32 = img.tensor().channel(0).iter().sum();
         assert!(painted > 0.0);
-    }
-
-    #[test]
-    fn checkerboard_parity() {
-        let mut img = Image::new(1, 8, 8);
-        fill_checkerboard(&mut img, 2, &[1.0], &[0.0]);
-        assert_eq!(img.get(0, 0, 0), 1.0);
-        assert_eq!(img.get(0, 0, 2), 0.0);
-        assert_eq!(img.get(0, 2, 2), 1.0);
     }
 }

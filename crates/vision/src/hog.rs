@@ -28,21 +28,6 @@ impl Default for HogParams {
     }
 }
 
-impl HogParams {
-    /// Descriptor length for an `h × w` image.
-    // goggles-lint: allow(dead-pub): documented HOG API (output-size contract); exercised only by unit tests
-    pub fn descriptor_len(&self, h: usize, w: usize) -> usize {
-        let cy = h / self.cell_size;
-        let cx = w / self.cell_size;
-        if cy < self.block_cells || cx < self.block_cells {
-            return 0;
-        }
-        let by = cy - self.block_cells + 1;
-        let bx = cx - self.block_cells + 1;
-        by * bx * self.block_cells * self.block_cells * self.bins
-    }
-}
-
 /// Compute the HOG descriptor of an image (converted to grayscale first).
 ///
 /// Returns an empty vector when the image is smaller than one block.
@@ -138,7 +123,6 @@ mod tests {
         let p = HogParams::default();
         let img = Image::new(1, 32, 32);
         let d = hog_descriptor(&img, &p);
-        assert_eq!(d.len(), p.descriptor_len(32, 32));
         // 32/8 = 4 cells; (4-1)^2 blocks of 2*2*9
         assert_eq!(d.len(), 9 * 36);
     }
@@ -148,7 +132,6 @@ mod tests {
         let p = HogParams::default();
         let img = Image::new(1, 8, 8); // one cell only, block needs 2
         assert!(hog_descriptor(&img, &p).is_empty());
-        assert_eq!(p.descriptor_len(8, 8), 0);
     }
 
     #[test]

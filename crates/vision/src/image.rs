@@ -135,38 +135,6 @@ impl Image {
         }
         out
     }
-
-    /// Replicate a single-channel image to `n` identical channels (used to
-    /// feed grayscale X-ray images into the 3-channel CNN stem).
-    // goggles-lint: allow(dead-pub): documented image API; exercised only by this crate's unit tests
-    pub fn broadcast_channels(&self, n: usize) -> Image {
-        assert_eq!(self.channels(), 1, "broadcast_channels expects 1-channel input");
-        let (_, h, w) = self.shape();
-        let mut out = Image::new(n, h, w);
-        for c in 0..n {
-            out.tensor.channel_mut(c).copy_from_slice(self.tensor.channel(0));
-        }
-        out
-    }
-
-    /// Per-channel standardization to zero mean and unit variance (variance
-    /// floored at `1e-6`), the usual CNN input normalization.
-    // goggles-lint: allow(dead-pub): documented image API; exercised only by this crate's unit tests
-    pub fn standardized(&self) -> Image {
-        let (c, h, w) = self.shape();
-        let mut out = self.clone();
-        let plane = h * w;
-        for ch in 0..c {
-            let data = out.tensor.channel_mut(ch);
-            let mean = data.iter().sum::<f32>() / plane as f32;
-            let var = data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / plane as f32;
-            let inv_std = 1.0 / var.max(1e-6).sqrt();
-            for v in data {
-                *v = (*v - mean) * inv_std;
-            }
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for Image {
@@ -219,33 +187,6 @@ mod tests {
     fn grayscale_identity_for_single_channel() {
         let img = Image::filled(1, 2, 2, 0.5);
         assert_eq!(img.to_grayscale(), img);
-    }
-
-    #[test]
-    fn broadcast_channels_copies_plane() {
-        let mut img = Image::new(1, 2, 2);
-        img.set(0, 1, 1, 0.7);
-        let b = img.broadcast_channels(3);
-        assert_eq!(b.channels(), 3);
-        for c in 0..3 {
-            assert_eq!(b.get(c, 1, 1), 0.7);
-        }
-    }
-
-    #[test]
-    fn standardized_zero_mean_unit_var() {
-        let mut img = Image::new(1, 4, 4);
-        for y in 0..4 {
-            for x in 0..4 {
-                img.set(0, y, x, (y * 4 + x) as f32 / 15.0);
-            }
-        }
-        let s = img.standardized();
-        let data = s.tensor().channel(0);
-        let mean = data.iter().sum::<f32>() / 16.0;
-        let var = data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 16.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-4);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Minimal netpbm image I/O: binary PPM (P6, color) and PGM (P5, grayscale).
+//! Minimal netpbm image output: binary PPM (P6, color) and PGM (P5, grayscale).
 //!
-//! Lets users inspect the synthetic datasets with any image viewer and
-//! round-trip images through disk without adding an image-codec dependency.
+//! Lets users inspect the synthetic datasets with any image viewer without
+//! adding an image-codec dependency.
 
 use crate::image::Image;
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 
 /// Errors from netpbm encoding/decoding.
@@ -70,80 +70,81 @@ pub fn write_pnm(img: &Image, path: &Path) -> Result<(), PnmError> {
     Ok(())
 }
 
-/// Read a binary PPM (P6) or PGM (P5) file into an [`Image`] with values
-/// scaled to `[0, 1]`. Comments (`#`) in the header are honoured.
-// goggles-lint: allow(dead-pub): round-trip inverse of the exported write_pnm; exercised by this crate's unit tests
-pub fn read_pnm(path: &Path) -> Result<Image, PnmError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let mut pos = 0usize;
-
-    let mut next_token = |bytes: &[u8]| -> Result<String, PnmError> {
-        // skip whitespace and comments
-        loop {
-            while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
-                pos += 1;
-            }
-            if pos < bytes.len() && bytes[pos] == b'#' {
-                while pos < bytes.len() && bytes[pos] != b'\n' {
-                    pos += 1;
-                }
-            } else {
-                break;
-            }
-        }
-        let start = pos;
-        while pos < bytes.len() && !bytes[pos].is_ascii_whitespace() {
-            pos += 1;
-        }
-        if start == pos {
-            return Err(PnmError::Format("unexpected end of header".into()));
-        }
-        Ok(String::from_utf8_lossy(&bytes[start..pos]).into_owned())
-    };
-
-    let magic = next_token(&bytes)?;
-    let channels = match magic.as_str() {
-        "P5" => 1usize,
-        "P6" => 3usize,
-        other => return Err(PnmError::Format(format!("unsupported magic {other:?}"))),
-    };
-    let parse = |tok: String| -> Result<usize, PnmError> {
-        tok.parse::<usize>().map_err(|_| PnmError::Format(format!("bad header token {tok:?}")))
-    };
-    let w = parse(next_token(&bytes)?)?;
-    let h = parse(next_token(&bytes)?)?;
-    let maxval = parse(next_token(&bytes)?)?;
-    if maxval == 0 || maxval > 255 {
-        return Err(PnmError::Format(format!("unsupported maxval {maxval}")));
-    }
-    // exactly one whitespace byte separates header from raster
-    pos += 1;
-    let needed = w * h * channels;
-    if bytes.len() < pos + needed {
-        return Err(PnmError::Format(format!(
-            "raster truncated: need {needed} bytes, have {}",
-            bytes.len().saturating_sub(pos)
-        )));
-    }
-    let mut img = Image::new(channels, h, w);
-    let scale = 1.0 / maxval as f32;
-    let mut i = pos;
-    for y in 0..h {
-        for x in 0..w {
-            for ch in 0..channels {
-                img.set(ch, y, x, bytes[i] as f32 * scale);
-                i += 1;
-            }
-        }
-    }
-    Ok(img)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::draw;
+    use std::io::Read as _;
+
+    /// The test oracle for [`write_pnm`]: read a binary PPM (P6) or PGM (P5)
+    /// file into an [`Image`] with values scaled to `[0, 1]`. Comments (`#`)
+    /// in the header are honoured.
+    fn read_pnm(path: &Path) -> Result<Image, PnmError> {
+        let mut bytes = Vec::new();
+        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+        let mut pos = 0usize;
+
+        let mut next_token = |bytes: &[u8]| -> Result<String, PnmError> {
+            // skip whitespace and comments
+            loop {
+                while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
+                    pos += 1;
+                }
+                if pos < bytes.len() && bytes[pos] == b'#' {
+                    while pos < bytes.len() && bytes[pos] != b'\n' {
+                        pos += 1;
+                    }
+                } else {
+                    break;
+                }
+            }
+            let start = pos;
+            while pos < bytes.len() && !bytes[pos].is_ascii_whitespace() {
+                pos += 1;
+            }
+            if start == pos {
+                return Err(PnmError::Format("unexpected end of header".into()));
+            }
+            Ok(String::from_utf8_lossy(&bytes[start..pos]).into_owned())
+        };
+
+        let magic = next_token(&bytes)?;
+        let channels = match magic.as_str() {
+            "P5" => 1usize,
+            "P6" => 3usize,
+            other => return Err(PnmError::Format(format!("unsupported magic {other:?}"))),
+        };
+        let parse = |tok: String| -> Result<usize, PnmError> {
+            tok.parse::<usize>().map_err(|_| PnmError::Format(format!("bad header token {tok:?}")))
+        };
+        let w = parse(next_token(&bytes)?)?;
+        let h = parse(next_token(&bytes)?)?;
+        let maxval = parse(next_token(&bytes)?)?;
+        if maxval == 0 || maxval > 255 {
+            return Err(PnmError::Format(format!("unsupported maxval {maxval}")));
+        }
+        // exactly one whitespace byte separates header from raster
+        pos += 1;
+        let needed = w * h * channels;
+        if bytes.len() < pos + needed {
+            return Err(PnmError::Format(format!(
+                "raster truncated: need {needed} bytes, have {}",
+                bytes.len().saturating_sub(pos)
+            )));
+        }
+        let mut img = Image::new(channels, h, w);
+        let scale = 1.0 / maxval as f32;
+        let mut i = pos;
+        for y in 0..h {
+            for x in 0..w {
+                for ch in 0..channels {
+                    img.set(ch, y, x, bytes[i] as f32 * scale);
+                    i += 1;
+                }
+            }
+        }
+        Ok(img)
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("goggles_pnm_{}_{name}", std::process::id()))

@@ -17,7 +17,7 @@
 //! * [`filter`] — separable Gaussian blur, Sobel gradients, bilinear resize,
 //! * [`hog`] — the Histogram-of-Oriented-Gradients descriptor used as a
 //!   representation baseline in Table 1,
-//! * [`io`] — netpbm (PPM/PGM) read/write so generated datasets can be
+//! * [`io`] — netpbm (PPM/PGM) output so generated datasets can be
 //!   inspected with any image viewer.
 
 pub mod draw;
@@ -29,4 +29,4 @@ pub mod noise;
 
 pub use hog::{hog_descriptor, HogParams};
 pub use image::Image;
-pub use io::{read_pnm, write_pnm, PnmError};
+pub use io::{write_pnm, PnmError};

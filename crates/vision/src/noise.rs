@@ -1,6 +1,6 @@
-//! Procedural noise: per-pixel Gaussian noise, salt-and-pepper speckle, and
-//! smooth multi-octave value noise for natural-looking textures
-//! (metal grain for the Surface dataset, tissue texture for the X-ray sets).
+//! Procedural noise: per-pixel Gaussian noise and smooth multi-octave value
+//! noise for natural-looking textures (metal grain for the Surface dataset,
+//! tissue texture for the X-ray sets).
 
 use crate::image::Image;
 use goggles_tensor::rng::normal;
@@ -10,24 +10,6 @@ use rand::Rng;
 pub fn add_gaussian_noise<R: Rng + ?Sized>(img: &mut Image, rng: &mut R, sigma: f32) {
     for v in img.tensor_mut().as_mut_slice() {
         *v += sigma * normal(rng) as f32;
-    }
-}
-
-/// Salt-and-pepper speckle: each pixel independently becomes `lo` or `hi`
-/// with probability `p / 2` each (applied across all channels jointly).
-// goggles-lint: allow(dead-pub): documented noise primitive, sibling of the used add_gaussian; exercised only by unit tests
-pub fn add_speckle<R: Rng + ?Sized>(img: &mut Image, rng: &mut R, p: f32, lo: f32, hi: f32) {
-    let (c, h, w) = img.shape();
-    for y in 0..h {
-        for x in 0..w {
-            let u: f32 = rng.random();
-            if u < p {
-                let v = if u < p / 2.0 { lo } else { hi };
-                for ch in 0..c {
-                    img.set(ch, y, x, v);
-                }
-            }
-        }
     }
 }
 
@@ -161,16 +143,6 @@ mod tests {
         let var: f32 =
             img.tensor().channel(0).iter().map(|v| (v - m) * (v - m)).sum::<f32>() / 1024.0;
         assert!((var - 0.01).abs() < 0.004, "variance = {var}");
-    }
-
-    #[test]
-    fn speckle_probability_scales_with_p() {
-        let mut img = Image::filled(1, 64, 64, 0.5);
-        let mut rng = std_rng(2);
-        add_speckle(&mut img, &mut rng, 0.1, 0.0, 1.0);
-        let changed = img.tensor().channel(0).iter().filter(|&&v| v != 0.5).count();
-        let frac = changed as f32 / 4096.0;
-        assert!((frac - 0.1).abs() < 0.03, "speckle fraction = {frac}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use super::report::Table;
 use super::TrialContext;
 use goggles_core::mapping::{apply_mapping, map_clusters_via_dev_set};
-use goggles_core::{theory, translate_dev_to_rows, HierarchicalModel, HierarchicalOptions};
+use goggles_core::{theory, translate_dev_to_rows, HierarchicalModel};
 use goggles_datasets::DevSet;
 use goggles_tensor::histogram;
 
@@ -121,16 +121,8 @@ pub fn figure7(etas: &[f64], max_d: usize) -> Table {
 pub fn figure8(ctx: &TrialContext, sizes_per_class: &[usize], seed: u64) -> Vec<(usize, f64)> {
     // Reuse the pipeline's own inference configuration so the sweep varies
     // ONLY the dev-set size (the unsupervised fit is shared across sizes).
-    let cfg = ctx.goggles.config();
-    let opts = HierarchicalOptions {
-        num_classes: ctx.dataset.num_classes,
-        em: cfg.em,
-        one_hot: cfg.one_hot,
-        threads: cfg.threads,
-        seed: cfg.seed,
-    };
+    let opts = ctx.goggles.hierarchical_options();
     let model = HierarchicalModel::fit(&ctx.affinity, &opts).expect("hierarchical fit");
-    let _ = seed; // dev resampling below is seeded separately
     let max_size = sizes_per_class.iter().copied().max().unwrap_or(0);
     let max_dev = if max_size > 0 {
         let dev_global = ctx.dataset.sample_dev_set(

@@ -22,7 +22,7 @@
 mod chaos {
     use goggles::prelude::*;
     use goggles::serve::{fault, ServeError};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
     /// One lock for the whole suite: the injector is process-global.
@@ -137,7 +137,7 @@ mod chaos {
         let images = ds.test_images();
         let mut failed = 0u32;
         for img in &images {
-            let mut ticket = service.submit((*img).clone()).unwrap();
+            let mut ticket = service.submit(Arc::new((*img).clone())).unwrap();
             match bounded_wait(&mut ticket) {
                 Ok(resp) => {
                     let (expected_label, _) = labeler.label_one(img);

@@ -366,7 +366,7 @@ fn non_finite_pixels_get_a_typed_error_and_the_connection_stays_up() {
         }
         assert!(matches!(client.ingest(&bad), Err(ServeError::InvalidImage(_))));
         assert!(matches!(Labeler::label(&labeler, &bad), Err(ServeError::InvalidImage(_))));
-        assert!(matches!(service.submit(bad), Err(ServeError::InvalidImage(_))));
+        assert!(matches!(service.submit(Arc::new(bad)), Err(ServeError::InvalidImage(_))));
     }
     assert!(client.label(good).is_ok(), "connection must stay usable");
     let scrape = client.metrics().unwrap();
