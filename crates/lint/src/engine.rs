@@ -1,10 +1,10 @@
-//! The path-scoped rule engine: loads a workspace's sources and manifests,
-//! resolves `goggles-lint: allow(...)` escape hatches, skips test code, and
-//! runs every rule.
+//! The path-scoped rule engine: loads a workspace's sources, resolves
+//! `goggles-lint: allow(...)` escape hatches, skips test code, and runs
+//! every rule.
 
 use crate::lexer::{lex, Comment, Lexed, Token};
 use crate::rules;
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -51,6 +51,9 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
     allows: Vec<Allow>,
+    /// `used[i]`: `allows[i]` has suppressed at least one finding. An allow
+    /// that never does is reported once the rules have run.
+    used: Vec<Cell<bool>>,
     /// `goggles-lint: allow(...)` annotations that are themselves malformed
     /// (missing reason, unknown rule) — reported as violations.
     bad_allows: Vec<Diagnostic>,
@@ -65,7 +68,8 @@ impl SourceFile {
         let Lexed { tokens, comments } = lex(src);
         let (allows, bad_allows) = parse_allows(&rel, &comments, &tokens);
         let test_ranges = find_test_ranges(&tokens);
-        SourceFile { rel, tokens, comments, allows, bad_allows, test_ranges }
+        let used = vec![Cell::new(false); allows.len()];
+        SourceFile { rel, tokens, comments, allows, used, bad_allows, test_ranges }
     }
 
     /// Whether `line` is inside test-only code.
@@ -75,12 +79,34 @@ impl SourceFile {
 
     /// Whether a finding of `rule` at `line` is suppressed by an allow
     /// annotation: file-scoped, same-line, or on the directly preceding
-    /// line.
+    /// line. Every allow that matches is marked used, so ask only about a
+    /// real finding.
     pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        self.allows.iter().any(|a| {
-            a.rule == rule
+        let mut allowed = false;
+        for (a, used) in self.allows.iter().zip(&self.used) {
+            if a.rule == rule
                 && (a.file_scope || a.line == line || (a.standalone && a.line + 1 == line))
-        })
+            {
+                used.set(true);
+                allowed = true;
+            }
+        }
+        allowed
+    }
+
+    /// `bad-allow` findings: the malformed annotations, and the allows that
+    /// suppressed nothing in this run (a stale allow would silently cover
+    /// the next real finding on its line).
+    fn allow_findings(&self) -> impl Iterator<Item = Diagnostic> + '_ {
+        let unused =
+            self.allows.iter().zip(&self.used).filter(|(_, used)| !used.get()).map(|(a, _)| {
+                bad_allow(
+                    &self.rel,
+                    a.line,
+                    &format!("allow({}) suppresses nothing here; delete it", a.rule),
+                )
+            });
+        self.bad_allows.iter().cloned().chain(unused)
     }
 
     /// Report a finding unless it is in test code or allow-annotated.
@@ -114,36 +140,29 @@ impl SourceFile {
 pub struct Workspace {
     pub root: PathBuf,
     pub files: Vec<SourceFile>,
-    /// Test/bench/example sources: never linted, but lexed (once, like
-    /// everything else) as the reference corpus the `dead-pub` audit counts
-    /// as external users of an API.
+    /// Test/bench/example sources: linted only by `nan-cmp`, and lexed
+    /// (once, like everything else) as the reference corpus the `dead-pub`
+    /// audit counts as external users of an API.
     pub ref_files: Vec<SourceFile>,
-    /// `Cargo.toml` contents keyed by workspace-relative path.
-    pub manifests: BTreeMap<String, String>,
 }
 
-/// Directory names never descended into: build output and the lint
-/// fixtures themselves.
-const SKIP_DIRS: &[&str] = &["target", "fixtures", ".git"];
+/// Directory names never descended into: build output, the lint fixtures
+/// themselves, and the vendored shims (they mimic third-party APIs; their
+/// code is not product code).
+const SKIP_DIRS: &[&str] = &["target", "fixtures", ".git", "shims"];
 
-/// Test/bench/example code may panic freely and is never linted, but it is
-/// collected as the `dead-pub` reference corpus.
+/// Test/bench/example code: the reference corpus.
 const REF_DIRS: &[&str] = &["tests", "benches", "examples"];
 
-/// Vendored shim crates mimic third-party APIs; only their manifests are
-/// subject to the dependency gate — their code is not product code.
-const MANIFEST_ONLY_DIRS: &[&str] = &["shims"];
-
 impl Workspace {
-    /// Load every non-test `.rs` file and every `Cargo.toml` under `root`.
+    /// Load every `.rs` file under `root`.
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut files = Vec::new();
         let mut ref_files = Vec::new();
-        let mut manifests = BTreeMap::new();
-        walk(root, root, &mut files, &mut ref_files, &mut manifests, Mode::Product)?;
+        walk(root, root, &mut files, &mut ref_files, false)?;
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
         ref_files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Ok(Workspace { root: root.to_path_buf(), files, ref_files, manifests })
+        Ok(Workspace { root: root.to_path_buf(), files, ref_files })
     }
 
     /// The source file at a workspace-relative path, if loaded.
@@ -154,33 +173,24 @@ impl Workspace {
     /// Run every rule; diagnostics come back sorted by file and line.
     pub fn lint(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for file in &self.files {
-            out.extend(file.bad_allows.iter().cloned());
-        }
         rules::run_all(self, &mut out);
+        for file in self.files.iter().chain(&self.ref_files) {
+            out.extend(file.allow_findings());
+        }
         out.sort();
         out.dedup();
         out
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Linted product code.
-    Product,
-    /// Reference corpus (tests/benches/examples): lexed, never linted.
-    Reference,
-    /// Shims: manifests only.
-    ManifestOnly,
-}
-
+/// Collect the `.rs` files under `dir`; `reference` is set once the walk
+/// is inside a [`REF_DIRS`] directory.
 fn walk(
     root: &Path,
     dir: &Path,
     files: &mut Vec<SourceFile>,
     ref_files: &mut Vec<SourceFile>,
-    manifests: &mut BTreeMap<String, String>,
-    mode: Mode,
+    reference: bool,
 ) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?.collect::<Result<_, _>>()?;
     entries.sort_by_key(std::fs::DirEntry::file_name);
@@ -191,22 +201,15 @@ fn walk(
             if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
                 continue;
             }
-            let mode = if MANIFEST_ONLY_DIRS.contains(&name.as_str()) {
-                Mode::ManifestOnly
-            } else if mode == Mode::Product && REF_DIRS.contains(&name.as_str()) {
-                Mode::Reference
-            } else {
-                mode
-            };
-            walk(root, &path, files, ref_files, manifests, mode)?;
-        } else if name == "Cargo.toml" {
-            manifests.insert(rel_of(root, &path), std::fs::read_to_string(&path)?);
-        } else if name.ends_with(".rs") && mode != Mode::ManifestOnly {
+            let reference = reference || REF_DIRS.contains(&name.as_str());
+            walk(root, &path, files, ref_files, reference)?;
+        } else if name.ends_with(".rs") {
             let src = std::fs::read_to_string(&path)?;
             let file = SourceFile::new(rel_of(root, &path), &src);
-            match mode {
-                Mode::Reference => ref_files.push(file),
-                _ => files.push(file),
+            if reference {
+                ref_files.push(file)
+            } else {
+                files.push(file)
             }
         }
     }
@@ -387,36 +390,36 @@ mod tests {
     #[test]
     fn allow_parses_and_scopes() {
         let src = "\
-// goggles-lint: allow(panic): provably infallible, len checked above
-x.unwrap();
-y.unwrap(); // goggles-lint: allow(panic): same line
-z.unwrap();
+// goggles-lint: allow(alloc-hot): one allocation per batch, not per item
+let a = x.to_vec();
+let b = y.to_vec(); // goggles-lint: allow(alloc-hot): same line
+let c = z.to_vec();
 ";
         let f = SourceFile::new("a.rs".into(), src);
-        assert!(f.is_allowed("panic", 2), "next-line scope");
-        assert!(f.is_allowed("panic", 3), "same-line scope");
-        assert!(!f.is_allowed("panic", 4));
-        assert!(!f.is_allowed("index", 2), "other rules unaffected");
+        assert!(f.is_allowed("alloc-hot", 2), "next-line scope");
+        assert!(f.is_allowed("alloc-hot", 3), "same-line scope");
+        assert!(!f.is_allowed("alloc-hot", 4));
+        assert!(!f.is_allowed("atomics", 2), "other rules unaffected");
     }
 
     #[test]
     fn allow_file_covers_everything() {
-        let src = "// goggles-lint: allow-file(index): kernel file\nfn f() {}\nfn g() {}\n";
+        let src = "// goggles-lint: allow-file(atomics): shutdown flags\nfn f() {}\nfn g() {}\n";
         let f = SourceFile::new("a.rs".into(), src);
-        assert!(f.is_allowed("index", 3));
+        assert!(f.is_allowed("atomics", 3));
     }
 
     #[test]
     fn malformed_allows_are_violations() {
         for bad in [
-            "// goggles-lint: allow(panic)",           // no reason
-            "// goggles-lint: allow(panic):   ",       // blank reason
+            "// goggles-lint: allow(atomics)",         // no reason
+            "// goggles-lint: allow(atomics):   ",     // blank reason
             "// goggles-lint: allow(no-such-rule): x", // unknown rule
-            "// goggles-lint: permit(panic): x",       // unknown directive
+            "// goggles-lint: permit(atomics): x",     // unknown directive
         ] {
-            let f = SourceFile::new("a.rs".into(), &format!("{bad}\nx.unwrap();\n"));
+            let f = SourceFile::new("a.rs".into(), &format!("{bad}\nx.load(Ordering::SeqCst);\n"));
             assert_eq!(f.bad_allows.len(), 1, "{bad}");
-            assert!(!f.is_allowed("panic", 2), "{bad} must not suppress");
+            assert!(!f.is_allowed("atomics", 2), "{bad} must not suppress");
         }
     }
 }

@@ -1,14 +1,16 @@
 //! goggles-lint — a workspace invariant checker.
 //!
-//! The GOGGLES workspace carries invariants that `rustc` and clippy cannot
-//! see because they are *policy*, not language rules: the serving hot path
-//! is panic-free (PR 3's salvage machinery assumes it), fits are
+//! The GOGGLES workspace carries invariants that `rustc`, clippy and Cargo
+//! cannot see because they are *policy*, not language rules: fits are
 //! bit-deterministic given a seed, the metrics fast path uses relaxed
-//! atomics only (PR 6), the workspace is `unsafe`-free, the wire protocol's
-//! opcode set stays closed across encoder/decoder/dispatch (PR 5), and no
-//! manifest may reach for a registry (the offline constraint). Each of
-//! those held by convention and review; this crate makes them hold by
-//! machine.
+//! atomics only, the wire protocol's opcode set stays closed across
+//! encoder/decoder/dispatch, locks are taken in one order, the serving hot
+//! path cannot reach a panic through a call into another module, its loops
+//! do not allocate, and every `pub` item has an outside user. This crate
+//! makes them hold by machine. What the standard tools can express they
+//! own: clippy denies panics and indexing in the panic-free modules and
+//! undocumented `unsafe` everywhere, and the lockfile shows every non-path
+//! dependency.
 //!
 //! Design constraints mirror the workspace's: std-only, no `syn`, no
 //! registry deps. The analysis is a hand-rolled lexer ([`lexer`]) feeding
@@ -20,13 +22,14 @@
 //! annotated in source:
 //!
 //! ```text
-//! // goggles-lint: allow(panic): mutex poisoning is recovered two lines up
-//! // goggles-lint: allow-file(index): register-tiled kernels index by design
+//! // goggles-lint: allow(atomics): Release publishes the drained queue to the reader
+//! // goggles-lint: allow-file(alloc-hot): startup-only module, nothing runs per request
 //! ```
 //!
-//! The reason is mandatory, the rule name must be real, and malformed
-//! annotations are themselves violations — a typo must not silently disable
-//! a rule.
+//! The reason is mandatory, the rule name must be real, and the allow must
+//! suppress a finding: malformed or unused annotations are themselves
+//! violations — a typo must not silently disable a rule, and a stale allow
+//! must not silently cover the next finding on its line.
 
 pub mod engine;
 pub mod lexer;

@@ -9,9 +9,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-goggles-lint: machine-check the workspace's panic-freedom, determinism,
-atomic-ordering, unsafe, wire-exhaustiveness, dependency, lock-order,
-panic-reachability, hot-loop-allocation, and dead-pub invariants.
+goggles-lint: machine-check the workspace's determinism, atomic-ordering,
+wire-exhaustiveness, lock-order, panic-reachability, hot-loop-allocation,
+and dead-pub invariants.
 
 usage:
   goggles-lint --workspace      lint the enclosing cargo workspace (default)

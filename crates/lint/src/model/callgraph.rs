@@ -397,7 +397,6 @@ mod tests {
             root: std::path::PathBuf::new(),
             files: files.iter().map(|(rel, src)| SourceFile::new((*rel).into(), src)).collect(),
             ref_files: Vec::new(),
-            manifests: std::collections::BTreeMap::new(),
         };
         SemanticModel::build(&ws)
     }

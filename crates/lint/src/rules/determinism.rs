@@ -119,7 +119,8 @@ fn hash_bound_idents(tokens: &[Token]) -> BTreeSet<String> {
 
 /// Flag `partial_cmp(…).unwrap()` / `.expect(…)` — a comparator that panics
 /// on NaN. `f32::total_cmp`/`f64::total_cmp` is the drop-in fix: total
-/// order, no panic, deterministic on every input. Workspace-wide.
+/// order, no panic, deterministic on every input. Workspace-wide, the
+/// reference corpus (tests, examples, benches) included.
 pub(crate) fn check_nan_comparators(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let tokens = &file.tokens;
     for (i, t) in tokens.iter().enumerate() {

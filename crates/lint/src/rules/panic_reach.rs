@@ -1,20 +1,23 @@
 //! `panic-reach`: transitive panic reachability for the hot paths.
 //!
-//! The `panic` rule bans panics *textually inside* hot-path modules; this
+//! Clippy bans panics *textually inside* the panic-free modules (their
+//! headers deny `clippy::unwrap_used`, `clippy::panic` and friends); this
 //! rule closes the loophole of calling into a function elsewhere in the
 //! workspace that unwraps. Every call site in a hot-path file whose callee
 //! can (transitively) reach an unannotated `unwrap`/`expect`/`panic!` is
 //! flagged, with the full chain down to the panic site.
 //!
 //! What does **not** count as a reachable panic:
-//! - sites annotated `allow(panic)` (the leaf already argued infallibility)
-//!   and sites inside `#[cfg(test)]` code;
-//! - `assert!`-family macros (checked preconditions, same policy as the
-//!   `panic` rule);
+//! - sites in a module whose header denies clippy's panic lints (clippy
+//!   has already made each of them carry a reasoned `#[expect]`), sites
+//!   annotated `allow(panic-reach)`, and sites inside `#[cfg(test)]` code;
+//! - `assert!`-family macros (checked preconditions, which clippy's panic
+//!   lints leave alone too);
 //! - anything called inside a `catch_unwind(...)` span — the caller opted
 //!   into containment (that is PR 3's batch-salvage pattern).
 
-use crate::engine::{Diagnostic, Workspace};
+use crate::engine::{Diagnostic, SourceFile, Workspace};
+use crate::lexer::Token;
 use crate::model::SemanticModel;
 use crate::rules::is_hot_path;
 use std::collections::VecDeque;
@@ -22,10 +25,15 @@ use std::collections::VecDeque;
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
+/// The clippy lints that, all denied, cover every panic shape above.
+const CLIPPY_PANIC_LINTS: &[&str] =
+    &["unwrap_used", "expect_used", "panic", "unreachable", "todo", "unimplemented"];
+
 pub(crate) fn check(ws: &Workspace, model: &SemanticModel, out: &mut Vec<Diagnostic>) {
     let fns = &model.fns;
     let n = fns.len();
     let rel = |i: usize| ws.files[fns[i].file].rel.as_str();
+    let clippy_guarded: Vec<bool> = ws.files.iter().map(denies_clippy_panics).collect();
 
     // Chains from each fn down to a concrete panic site, seeded at fns that
     // panic directly and grown breadth-first over reverse call edges (so
@@ -33,7 +41,7 @@ pub(crate) fn check(ws: &Workspace, model: &SemanticModel, out: &mut Vec<Diagnos
     let mut reach: Vec<Option<Vec<String>>> = vec![None; n];
     let mut queue = VecDeque::new();
     for (i, f) in fns.iter().enumerate() {
-        if f.is_test {
+        if f.is_test || clippy_guarded[f.file] {
             continue;
         }
         if let Some(desc) = direct_panic(ws, model, i) {
@@ -109,30 +117,52 @@ fn direct_panic(ws: &Workspace, model: &SemanticModel, i: usize) -> Option<Strin
     for j in f.body.0 + 1..f.body.1 {
         let Some(name) = toks[j].ident() else { continue };
         let line = toks[j].line;
-        if file.in_test_code(line)
-            || file.is_allowed("panic", line)
-            || file.is_allowed("panic-reach", line)
-        {
-            continue;
-        }
-        if PANIC_METHODS.contains(&name)
+        let site = if PANIC_METHODS.contains(&name)
             && toks[j - 1].is_punct('.')
             && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
         {
-            return Some(format!(".{name}() @ {}:{}", file.rel, line));
-        }
-        if PANIC_MACROS.contains(&name)
+            format!(".{name}() @ {}:{}", file.rel, line)
+        } else if PANIC_MACROS.contains(&name)
             && toks.get(j + 1).is_some_and(|t| t.is_punct('!'))
             && !toks[j - 1].is_punct('.')
         {
-            return Some(format!("{name}! @ {}:{}", file.rel, line));
+            format!("{name}! @ {}:{}", file.rel, line)
+        } else {
+            continue;
+        };
+        if !file.in_test_code(line) && !file.is_allowed("panic-reach", line) {
+            return Some(site);
         }
     }
     None
 }
 
+/// Whether the file's header (its leading inner attributes) denies every
+/// lint in [`CLIPPY_PANIC_LINTS`], as in `#![deny(clippy::unwrap_used, …)]`.
+fn denies_clippy_panics(file: &SourceFile) -> bool {
+    let toks = &file.tokens;
+    let mut denied = Vec::new();
+    let mut j = 0;
+    while toks.get(j).is_some_and(|t| t.is_punct('#'))
+        && toks.get(j + 1).is_some_and(|t| t.is_punct('!'))
+    {
+        let Some(close) = toks[j..].iter().position(|t| t.is_punct(']')) else { break };
+        let attr = &toks[j + 2..j + close];
+        if attr.get(1).and_then(Token::ident) == Some("deny") {
+            // `clippy :: <lint>` triples inside the list.
+            for w in attr.windows(4) {
+                if w[0].ident() == Some("clippy") && w[1].is_punct(':') && w[2].is_punct(':') {
+                    denied.extend(w[3].ident());
+                }
+            }
+        }
+        j += close + 1;
+    }
+    CLIPPY_PANIC_LINTS.iter().all(|lint| denied.contains(lint))
+}
+
 /// Token index spans of `catch_unwind(...)` argument lists in a file.
-fn catch_unwind_spans(file: &crate::engine::SourceFile) -> Vec<(usize, usize)> {
+fn catch_unwind_spans(file: &SourceFile) -> Vec<(usize, usize)> {
     let toks = &file.tokens;
     let mut spans = Vec::new();
     for j in 0..toks.len() {

@@ -3,5 +3,5 @@
 // goggles-lint: allow(no-such-rule): misspelled rule names must not pass silently
 pub fn f() {}
 
-// goggles-lint: allow(panic)
+// goggles-lint: allow(atomics)
 pub fn g() {}

@@ -11,9 +11,7 @@ fn main() {
         dispatch,
         is_closed,
         checked,
-        annotated,
         from_u8,
-        first_unchecked,
         sort_scores,
         queue_len,
         flush_frames,

@@ -1,7 +1,7 @@
-//! Fixture: hot-path code that is panic-free, annotated, or test-only,
-//! plus clean/annotated examples of the v2 flow rules (`lock-order`,
-//! `panic-reach`, `alloc-hot`).
+//! Fixture: hot-path code with clean/annotated examples of the flow rules
+//! (`lock-order`, `panic-reach`, `alloc-hot`), plus test-only code.
 
+use crate::fault::maybe_panic;
 use crate::snapshot::decode_header;
 use std::sync::{Mutex, PoisonError};
 
@@ -9,9 +9,11 @@ pub fn checked(xs: &[u8]) -> Option<u8> {
     xs.first().copied()
 }
 
-/// `panic-reach`: the helper's panic site is annotated, so this hot-path
-/// call inherits nothing.
+/// `panic-reach`: one helper's panic site is annotated, the other sits in a
+/// module whose header denies clippy's panic lints, so this hot-path code
+/// inherits nothing.
 pub fn handle(xs: &[u8]) -> u8 {
+    maybe_panic("handle");
     decode_header(xs)
 }
 
@@ -50,11 +52,6 @@ pub fn render_all(xs: &[u8]) -> String {
         out.push_str(&line);
     }
     out
-}
-
-pub fn annotated(xs: &[u8]) -> u8 {
-    // goggles-lint: allow(panic): fixture exercises the standalone-comment scope
-    xs.first().unwrap() + xs[0] // goggles-lint: allow(index): fixture exercises trailing-comment scope
 }
 
 #[cfg(test)]

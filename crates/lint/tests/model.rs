@@ -36,7 +36,7 @@ fn lexer_separates_tokens_and_comments() {
 #[test]
 fn source_file_scopes_allows_and_test_code() {
     let src = "\
-// goggles-lint: allow(panic): reason covering the next line
+// goggles-lint: allow(panic-reach): reason covering the next line
 fn f() { x.unwrap(); }
 fn g() { y.unwrap(); }
 #[cfg(test)]
@@ -45,15 +45,15 @@ mod tests {
 }
 ";
     let file = SourceFile::new("crates/serve/src/service.rs".to_string(), src);
-    assert!(file.is_allowed("panic", 2));
-    assert!(!file.is_allowed("panic", 3));
+    assert!(file.is_allowed("panic-reach", 2));
+    assert!(!file.is_allowed("panic-reach", 3));
     assert!(!file.in_test_code(3));
     assert!(file.in_test_code(6));
 
     let mut out: Vec<Diagnostic> = Vec::new();
-    file.report_chain(&mut out, "panic", 2, "allowed".into(), Vec::new());
-    file.report_chain(&mut out, "panic", 6, "test code".into(), Vec::new());
-    file.report_chain(&mut out, "panic", 3, "real".into(), vec!["hop".into()]);
+    file.report_chain(&mut out, "panic-reach", 2, "allowed".into(), Vec::new());
+    file.report_chain(&mut out, "panic-reach", 6, "test code".into(), Vec::new());
+    file.report_chain(&mut out, "panic-reach", 3, "real".into(), vec!["hop".into()]);
     assert_eq!(out.len(), 1, "{out:?}");
     assert_eq!((out[0].line, out[0].chain.as_slice()), (3, &["hop".to_string()][..]));
 }
@@ -126,7 +126,7 @@ fn guard_liveness_tracks_acquires_and_blocking() {
 
 #[test]
 fn rule_names_cover_the_flow_rules() {
-    assert_eq!(RULE_NAMES.len(), 12);
+    assert_eq!(RULE_NAMES.len(), 8);
     for rule in ["lock-order", "panic-reach", "alloc-hot", "dead-pub"] {
         assert!(RULE_NAMES.contains(&rule), "{rule} missing from RULE_NAMES");
     }

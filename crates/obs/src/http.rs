@@ -8,6 +8,17 @@
 //! `503 draining` once it clears — the probe surface a load balancer (or a
 //! test) watches while a server drains.
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -108,7 +119,10 @@ fn handle_connection(
         if n == 0 {
             break;
         }
-        // goggles-lint: allow(index): n is the byte count read() just returned, bounded by chunk.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "n is the byte count read() just returned, bounded by chunk.len()"
+        )]
         head.extend_from_slice(&chunk[..n]);
         if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= MAX_REQUEST_BYTES {
             break;
@@ -126,7 +140,7 @@ fn handle_connection(
     } else if path == "/metrics" || path.starts_with("/metrics?") {
         ("200 OK", render())
     } else if let ("/healthz", Some(ready)) = (path, ready) {
-        // goggles-lint: allow(atomics): Acquire pairs with the server's Release flip of the readiness flag at drain start
+        // Acquire pairs with the server's Release flip of the readiness flag at drain start.
         if ready.load(Ordering::Acquire) {
             ("200 OK", "ready\n".to_string())
         } else {

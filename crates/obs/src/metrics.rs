@@ -8,6 +8,17 @@
 //! atomics — so the instrumentation hot path is a single relaxed atomic
 //! add with no lock and no allocation.
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -272,7 +283,10 @@ impl Registry {
             || Metric::Counter(Counter::detached()),
         ) {
             Metric::Counter(c) => c,
-            // goggles-lint: allow(panic): type confusion at registration is a programming error, caught at spawn not per-request
+            #[expect(
+                clippy::panic,
+                reason = "type confusion at registration is a programming error, caught at spawn not per-request"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }
@@ -281,7 +295,10 @@ impl Registry {
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.series(name, help, Kind::Gauge, labels, || Metric::Gauge(Gauge::detached())) {
             Metric::Gauge(g) => g,
-            // goggles-lint: allow(panic): type confusion at registration is a programming error, caught at spawn not per-request
+            #[expect(
+                clippy::panic,
+                reason = "type confusion at registration is a programming error, caught at spawn not per-request"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }
@@ -295,7 +312,10 @@ impl Registry {
             .series(name, help, Kind::Gauge, labels, || Metric::FloatGauge(FloatGauge::detached()))
         {
             Metric::FloatGauge(g) => g,
-            // goggles-lint: allow(panic): type confusion at registration is a programming error, caught at spawn not per-request
+            #[expect(
+                clippy::panic,
+                reason = "type confusion at registration is a programming error, caught at spawn not per-request"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }
@@ -306,7 +326,10 @@ impl Registry {
             Metric::Histogram(Histogram::detached())
         }) {
             Metric::Histogram(h) => h,
-            // goggles-lint: allow(panic): type confusion at registration is a programming error, caught at spawn not per-request
+            #[expect(
+                clippy::panic,
+                reason = "type confusion at registration is a programming error, caught at spawn not per-request"
+            )]
             _ => panic!("metric {name} already registered with a different type"),
         }
     }

@@ -6,6 +6,17 @@
 //! stage-by-stage. Spans never touch the data plane: they only read the
 //! clock and bump atomics, so enabling them cannot change label output.
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;

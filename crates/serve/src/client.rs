@@ -28,6 +28,17 @@
 //! the process-global metrics registry (`goggles_retries_total`,
 //! `goggles_reconnects_total`).
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::api::{Labeler, Ticket};
 use crate::service::LabelResponse;
 use crate::wire::{

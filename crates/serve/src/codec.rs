@@ -11,6 +11,17 @@
 //! frame trailer, where the checksum runs on every request and must keep
 //! up with memory.
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::{ServeError, ServeResult};
 use goggles_tensor::Matrix;
 

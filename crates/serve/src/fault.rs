@@ -37,6 +37,17 @@
 //! Schedules: `p<f64>` (per-hit probability, seeded), `#<n>` (exactly the
 //! `n`th hit of that site, once), `%<n>` (every `n`th hit).
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -293,10 +304,12 @@ pub(crate) fn inject_write(site: &str) -> Option<WriteFault> {
 /// sleeps on `delay`, ignores I/O kinds.
 pub(crate) fn maybe_panic(site: &str) {
     match fire(site) {
-        Some(FaultKind::Panic) => {
-            // goggles-lint: allow(panic): this IS the failpoint — the intentional panic that exercises the worker watchdog, reachable only with an installed fault plan
-            panic!("injected panic at {site}");
-        }
+        #[expect(
+            clippy::panic,
+            reason = "this IS the failpoint — the intentional panic that exercises the worker \
+                      watchdog, reachable only with an installed fault plan"
+        )]
+        Some(FaultKind::Panic) => panic!("injected panic at {site}"),
         Some(FaultKind::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
         _ => {}
     }

@@ -210,7 +210,6 @@ impl SnapshotRegistry {
     }
 
     /// Lease a specific registered version (current or retired).
-    // goggles-lint: allow(dead-pub): lookup sibling of the used current_version; called by perfbench's registry probe, which lives outside this workspace
     pub fn get_version(&self, version: u64) -> ServeResult<PublishedSnapshot> {
         let state = self.state();
         state

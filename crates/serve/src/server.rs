@@ -27,6 +27,17 @@
 //! for a grace window, then closes their read halves so every in-flight
 //! ticket is still answered before the pool exits.
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::service::LabelService;
 use crate::wire::{
     self, decode_ingest_request, decode_label_request, decode_reload_request, encode_error_reply,

@@ -28,6 +28,17 @@
 //! [`SnapshotRegistry::publish`] swap is picked up by the very next batch —
 //! hot-reload without dropping or blocking a single request.
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::api::{Labeler, Ticket};
 use crate::registry::{PublishedSnapshot, SnapshotRegistry};
 use crate::snapshot::FittedLabeler;
@@ -427,7 +438,10 @@ impl LabelService {
     /// from [`FittedLabeler::fit`]/[`FittedLabeler::load`] always pass; use
     /// `LabelService::spawn_with_registry` to handle validation errors.
     pub fn spawn(labeler: FittedLabeler, config: ServeConfig) -> Self {
-        // goggles-lint: allow(panic): documented panic (see `# Panics`); spawn_with_registry is the fallible path
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic (see `# Panics`); spawn_with_registry is the fallible path"
+        )]
         let registry = SnapshotRegistry::new(labeler).expect("initial labeler failed validation");
         Self::spawn_with_registry(Arc::new(registry), config)
     }
@@ -451,13 +465,17 @@ impl LabelService {
             config: config.clone(),
             metrics,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn only fails on OS thread exhaustion at startup; this constructor is \
+                      infallible by API"
+        )]
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("goggles-serve-{i}"))
                     .spawn(move || worker_main(&shared, i))
-                    // goggles-lint: allow(panic): spawn only fails on OS thread exhaustion at startup; this constructor is infallible by API
                     .expect("spawn worker")
             })
             .collect();

@@ -31,6 +31,17 @@
 //! optional deadline budget), stats, hot-reload, shutdown, and a metrics
 //! dump (the full observability registry as Prometheus text).
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::codec::{xxh64, Reader, Writer};
 use crate::fault;
 use crate::service::{LabelResponse, ServiceStats};

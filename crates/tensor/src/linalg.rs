@@ -12,9 +12,17 @@
 //! * orthogonal-iteration truncated eigenbasis (spectral co-clustering
 //!   baseline needs leading singular vectors of a large rectangular matrix).
 
-// goggles-lint: allow-file(index): register-tiled kernels index with loop bounds derived from
-// the same dimensions that size the buffers; rewriting every access through `get` would obscure
-// the tiling structure and defeat bounds-check elision in the hot loops.
+// Panic-free module, except that it indexes: the register-tiled kernels index with loop bounds
+// derived from the same dimensions that size the buffers, and rewriting every access through `get`
+// would obscure the tiling and defeat bounds-check elision in the hot loops.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::matrix::Matrix;
 use crate::rng;
@@ -349,8 +357,7 @@ fn colmax_tall_portable(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mu
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
     let tiles = a_pack.as_chunks::<TALL_MR>().0;
     colmax_blocks(panel, lo, out, |block| block_half_max::<TALL_NB, 0>(tiles, block));
 }
@@ -364,8 +371,7 @@ unsafe fn colmax_tall_avx2(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: 
 /// The running CPU must support AVX-512F and the features it implies.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-// SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn colmax_tall_avx512(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+fn colmax_tall_avx512(a_pack: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
     let tiles = a_pack.as_chunks::<TALL_MR>().0;
     colmax_blocks(panel, lo, out, |block| block_pair_max(tiles, block));
 }
@@ -393,8 +399,7 @@ fn colmax_wide_portable(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f3
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn colmax_wide_avx2(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
+fn colmax_wide_avx2(a: &[f32], panel: &ColmaxPanel, lo: usize, out: &mut [f32]) {
     colmax_blocks(panel, lo, out, |block| {
         let left = wide_run_max::<WIDE_NR_AVX2, 0>(a, block);
         let right = wide_run_max::<WIDE_NR_AVX2, WIDE_NR_AVX2>(a, block);
@@ -892,8 +897,7 @@ fn pack_rows<'p>(pack: &'p mut Vec<f32>, a: &[f32], m: usize, k: usize) -> &'p [
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn gemm_tiles_avx2(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
+fn gemm_tiles_avx2(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
     gemm_tiles::<GEMM_NB_AVX2>(gemm, 0..gemm.n, tile, out);
 }
 
@@ -907,8 +911,7 @@ unsafe fn gemm_tiles_avx2(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32])
 /// The running CPU must support AVX-512F and the features it implies.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-// SAFETY: callers check `isa()` first; the body is safe code.
-unsafe fn gemm_tiles_avx512(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
+fn gemm_tiles_avx512(gemm: &Gemm<'_>, tile: &mut Vec<f32>, out: &mut [f32]) {
     let whole = gemm.n - gemm.n % GEMM_NB_AVX512;
     gemm_tiles::<GEMM_NB_AVX512>(gemm, 0..whole, tile, out);
     gemm_tiles::<GEMM_NB_AVX2>(gemm, whole..gemm.n, tile, out);

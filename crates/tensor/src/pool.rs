@@ -27,6 +27,17 @@
 //! thread-local and asks [`on_helper`] whether the current thread is a
 //! helper (the caller usually has an arena of its own).
 
+// No panic outside a reasoned `#[expect]` in this module; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -42,6 +42,17 @@
 //! (`goggles_trainer_*` families), which the serving stack's
 //! `/metrics` scrape already merges.
 
+// No panic outside a reasoned `#[expect]` in this library; clippy.toml exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use goggles_core::{AffinityMatrix, Goggles, GogglesConfig, HierarchicalModel};
 use goggles_datasets::DevSet;
 use goggles_serve::{FittedLabeler, IngestSink, ServeError, SnapshotRegistry, TrainingBootstrap};
@@ -393,10 +404,14 @@ impl Trainer {
             shared: Arc::clone(&shared),
         };
         let loop_intake = Arc::clone(&intake);
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn only fails on OS thread exhaustion at startup; this constructor is \
+                      infallible by API, matching LabelService::spawn"
+        )]
         let handle = std::thread::Builder::new()
             .name("goggles-trainer".into())
             .spawn(move || trainer_main(state, &loop_intake, min_batch))
-            // goggles-lint: allow(panic): spawn only fails on OS thread exhaustion at startup; this constructor is infallible by API, matching LabelService::spawn
             .expect("spawn trainer thread");
         Self { intake, shared, handle: Some(handle) }
     }

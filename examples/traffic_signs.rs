@@ -30,7 +30,7 @@ fn main() {
     let lib = AffinityFunction::library(affinity.alpha / z, z);
     let mut ranked: Vec<(usize, f64)> =
         (0..affinity.alpha).map(|f| (f, affinity.score_distribution(f, &truth).auc)).collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\ntop-5 affinity functions by separation AUC:");
     for &(f, auc) in ranked.iter().take(5) {
         println!("  {}  AUC = {:.3}", lib[f], auc);
@@ -46,8 +46,7 @@ fn main() {
     let (labels, mapping, model) =
         goggles.infer_from_affinity(&affinity, &dev_rows).expect("inference failed");
     let rel = model.function_reliabilities();
-    let best_by_model =
-        (0..rel.len()).max_by(|&a, &b| rel[a].partial_cmp(&rel[b]).unwrap()).unwrap();
+    let best_by_model = (0..rel.len()).max_by(|&a, &b| rel[a].total_cmp(&rel[b])).unwrap();
     println!(
         "\nensemble's most-trusted function: {} (reliability {:.3}, true AUC {:.3})",
         lib[best_by_model],

@@ -15,9 +15,8 @@
 //! lock and run in this dedicated integration binary, away from every
 //! other test process.
 
-// The lint's panic-rule audit keys off #[cfg(test)] scoping; integration
-// tests compile with cfg(test), so this gate is a tautology that makes
-// the intentional assert!/unwrap chaos explicit and lint-visible.
+// Integration tests compile with cfg(test), so this gate is a tautology;
+// it marks the intentional assert!/unwrap chaos below as test code.
 #[cfg(test)]
 mod chaos {
     use goggles::prelude::*;
